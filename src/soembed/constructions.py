@@ -25,7 +25,6 @@ from .errors import CapExceededError, MissingSeedError, SoEmbedError
 from .gf2 import (
     BinaryMatrix,
     gram,
-    horizontal_join,
     min_distance,
     parse_matrix,
     rank,
@@ -111,14 +110,16 @@ def juxtapose_simplex(seed: BinaryMatrix, s: int) -> BinaryMatrix:
     if s == 0:
         return seed
     block = simplex_matrix(seed.k)
+    width = s * block.n
     rows = []
     for i in range(seed.k):
-        acc = 0
-        for copy in range(s):
-            acc |= block.rows[i] << (copy * block.n)
-        acc |= seed.rows[i] << (s * block.n)
-        rows.append(acc)
-    return BinaryMatrix(seed.k, s * block.n + seed.n, tuple(rows))
+        # Double the run of copies until it covers s, then cut it to s.
+        acc, copies = block.rows[i], 1
+        while copies < s:
+            acc |= acc << (copies * block.n)
+            copies <<= 1
+        rows.append(acc & ((1 << width) - 1) | seed.rows[i] << width)
+    return BinaryMatrix(seed.k, width + seed.n, tuple(rows))
 
 
 _REGISTRY: SeedRegistry | None = None

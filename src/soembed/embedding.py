@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidPolicyError, RankDeficientError, WrongDimensionError
 from .gf2 import BinaryMatrix, _row_ip, gram, h_column, horizontal_join, rank
-from .profiles import column_index, column_profile, parity_sets
+from .profiles import column_index, column_profile
 from .tables import CLASS7_MASKS, CLASS8_MASKS
 
 TIE4_INTERSECT = "intersect"
@@ -91,32 +91,32 @@ def _require_k(m: BinaryMatrix, k: int) -> None:
         raise WrongDimensionError(f"matrix has {m.k} rows, need {k}")
 
 
+def _append_h(g: BinaryMatrix, added: list[tuple[int, int]]) -> BinaryMatrix:
+    """g with the columns h_column(level, index) of added appended, in order."""
+    return horizontal_join(g, [h_column(lv, i) for lv, i in added])
+
+
 def embed_dim2(g: BinaryMatrix) -> EmbedReport:
     """Append h_i once for each of i = 1, 2, 3 with odd multiplicity."""
     _require_k(g, 2)
-    out = g
-    added = []
-    for i in (1, 2, 3):
-        if column_profile(out).count(i) & 1:
-            out = horizontal_join(out, [h_column(2, i)])
-            added.append((2, i))
-    return EmbedReport(input=g, added=tuple(added), output=out)
+    odd = column_profile(g).parity_mask()
+    added = [(2, i) for i in (1, 2, 3) if odd >> i & 1]
+    return EmbedReport(input=g, added=tuple(added), output=_append_h(g, added))
 
 
 def embed_dim3(g: BinaryMatrix) -> EmbedReport:
     """Flip the smaller parity class into the larger, one index at a time."""
     _require_k(g, 3)
-    out = g
+    full = 0b11111110  # indices 1..7
+    odd = column_profile(g).parity_mask()
     added = []
-    while True:
-        ps = parity_sets(column_profile(out))
-        if not ps.j0 or not ps.j1:
-            break
-        smaller = ps.j0 if len(ps.j0) < len(ps.j1) else ps.j1
-        i0 = min(smaller)
-        out = horizontal_join(out, [h_column(3, i0)])
+    while odd and odd != full:
+        even = full ^ odd
+        smaller = even if even.bit_count() < odd.bit_count() else odd
+        i0 = (smaller & -smaller).bit_length() - 1
         added.append((3, i0))
-    return EmbedReport(input=g, added=tuple(added), output=out)
+        odd ^= 1 << i0
+    return EmbedReport(input=g, added=tuple(added), output=_append_h(g, added))
 
 
 def _dim4_projected_counts(odd_mask: int) -> list[int]:
@@ -145,7 +145,6 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
             raise InvalidPolicyError(
                 f"s0={s0} appends {totals[s0 - 1]} columns, minimum is {best}"
             )
-    out = g
     added = []
     mask7 = CLASS7_MASKS[s0 - 1]
     mask8 = CLASS8_MASKS[s0 - 1]
@@ -156,7 +155,6 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
         if not work:
             break
         i0 = (work & -work).bit_length() - 1
-        out = horizontal_join(out, [h_column(4, i0)])
         added.append((4, i0))
         odd ^= 1 << i0
     # 8-class loop; the tie rule decides which half to flip at exactly 4.
@@ -170,9 +168,9 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
         if not work:
             break
         i0 = (work & -work).bit_length() - 1
-        out = horizontal_join(out, [h_column(4, i0)])
         added.append((4, i0))
         odd ^= 1 << i0
+    out = _append_h(g, added)
     return EmbedReport(input=g, added=tuple(added), output=out, policy=policy)
 
 

@@ -54,12 +54,10 @@ class BinaryMatrix:
         for row in bit_rows:
             if len(row) != n:
                 raise RaggedRowsError("rows have unequal lengths")
-            acc = 0
-            for j, b in enumerate(row):
+            for b in row:
                 if b not in (0, 1):
                     raise BadCharacterError(f"entry {b!r} is not a bit")
-                acc |= b << j
-            ints.append(acc)
+            ints.append(int("".join("01"[b] for b in reversed(row)) or "0", 2))
         return cls(len(ints), n, tuple(ints))
 
     def entry(self, i: int, j: int) -> int:
@@ -71,13 +69,11 @@ class BinaryMatrix:
 
     def row_bits(self, i: int) -> tuple[int, ...]:
         """Row i as a bit tuple, column 0 first."""
-        return tuple((self.rows[i] >> j) & 1 for j in range(self.n))
+        return tuple(map(int, _row_text(self.rows[i], self.n)))
 
     def to_text(self) -> str:
         """Matrix text form: one row of 0/1 characters per line."""
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.n)) for r in self.rows
-        )
+        return "\n".join(_row_text(r, self.n) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
@@ -109,6 +105,15 @@ class LinearCode:
         return self.gen.n
 
 
+def _row_text(r: int, n: int) -> str:
+    """Row bits as 0/1 characters, column 0 first."""
+    return format(r, f"0{n}b")[::-1] if n else ""
+
+
+_DROP_BLANKS = str.maketrans("", "", " \t\r")
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse matrix text: 0/1 rows, optional whitespace, '#' comments.
 
@@ -117,27 +122,19 @@ def parse_matrix(text: str) -> BinaryMatrix:
     rows: list[int] = []
     width = None
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0]
-        bits = []
-        for ch in line:
-            if ch in "01":
-                bits.append(ord(ch) - ord("0"))
-            elif ch in " \t\r":
-                continue
-            else:
-                raise BadCharacterError(f"unexpected character {ch!r} in matrix text")
+        bits = raw.split("#", 1)[0].translate(_DROP_BLANKS)
         if not bits:
             continue
+        bad = bits.translate(_DROP_BITS)
+        if bad:
+            raise BadCharacterError(f"unexpected character {bad[0]!r} in matrix text")
         if width is None:
             width = len(bits)
         elif len(bits) != width:
             raise RaggedRowsError(
                 f"row {len(rows) + 1} has {len(bits)} bits, expected {width}"
             )
-        acc = 0
-        for j, b in enumerate(bits):
-            acc |= b << j
-        rows.append(acc)
+        rows.append(int(bits[::-1], 2))
     if width is None:
         raise EmptyInputError("no matrix rows in input")
     return BinaryMatrix(len(rows), width, tuple(rows))
@@ -239,19 +236,27 @@ def h_column(k: int, i: int) -> tuple[int, ...]:
     return tuple((i >> (k - 1 - pos)) & 1 for pos in range(k))
 
 
+def _index_bit_mask(k: int, b: int) -> int:
+    """Bit i set, for 0 <= i < 2**k, iff bit b of i is set.
+
+    The pattern is periodic (2**b zeros, then 2**b ones), so it is built by
+    doubling a single period.
+    """
+    half = 1 << b
+    acc = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << k:
+        acc |= acc << width
+        width <<= 1
+    return acc
+
+
 def simplex_matrix(k: int) -> BinaryMatrix:
     """The k x (2**k - 1) matrix whose column i is h_column(k, i)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ncols = (1 << k) - 1
-    rows = []
-    for pos in range(k):
-        acc = 0
-        shift = k - 1 - pos
-        for i in range(1, ncols + 1):
-            acc |= ((i >> shift) & 1) << (i - 1)
-        rows.append(acc)
-    return BinaryMatrix(k, ncols, tuple(rows))
+    rows = tuple(_index_bit_mask(k, k - 1 - pos) >> 1 for pos in range(k))
+    return BinaryMatrix(k, (1 << k) - 1, rows)
 
 
 def horizontal_join(
@@ -263,17 +268,14 @@ def horizontal_join(
             raise LengthMismatchError(
                 f"column of length {len(c)} cannot join a {m.k}-row matrix"
             )
-    rows = list(m.rows)
-    for offset, c in enumerate(cols):
-        for i, b in enumerate(c):
-            if b:
-                rows[i] |= 1 << (m.n + offset)
-    return BinaryMatrix(m.k, m.n + len(cols), tuple(rows))
-
-
-def vertical_stack(rows_bits: Sequence[int], n: int) -> BinaryMatrix:
-    """Matrix from bit rows already packed as ints."""
-    return BinaryMatrix(len(rows_bits), n, tuple(rows_bits))
+    if not cols:
+        return m
+    # Row i's appended bits, last column first, as one binary string.
+    rows = tuple(
+        r | int("".join("1" if c[i] else "0" for c in reversed(cols)), 2) << m.n
+        for i, r in enumerate(m.rows)
+    )
+    return BinaryMatrix(m.k, m.n + len(cols), rows)
 
 
 def random_matrix(rng, k: int, n: int) -> BinaryMatrix:

@@ -148,7 +148,8 @@ def _feasible(
     coverage = [0] * (ncols + 2)
     for i in range(1, ncols + 1):
         coverage[i] = coverage[i - 1] | hits[i]
-    failed: set[tuple[int, int, bytes]] = set()
+    failed: set[tuple[int, int, int]] = set()
+    width = d.bit_length()
 
     def walk(i: int, rem: int, t: tuple[int, ...]) -> list[int] | None:
         deficit = 0
@@ -167,7 +168,12 @@ def _feasible(
             return None
         if worst > step * rem or deficit > step * rem * half:
             return None
-        key = (i, rem, bytes(min(v, d) for v in t[1:]))
+        # The weights, capped at d, packed width bits apart into one int: an
+        # exact key for any d, and a compact one for a memo that grows large.
+        capped = 0
+        for v in t[1:]:
+            capped = capped << width | min(v, d)
+        key = (i, rem, capped)
         if key in failed:
             return None
         hit = hits[i]

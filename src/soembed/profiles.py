@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRangeError, WrongDimensionError
-from .gf2 import BinaryMatrix, _row_ip, gram
+from .gf2 import BinaryMatrix, _index_bit_mask, _row_ip, gram
 from .tables import CLASS7_MASKS, CLASS8_MASKS, DIM4_TABLES, Dim4Tables
 from .tables import verify_sigma_symmetry  # noqa: F401  (re-exported API)
 
@@ -32,7 +32,7 @@ class ColumnProfile:
     def __post_init__(self):
         if len(self.ell) != (1 << self.k) - 1:
             raise ValueError("profile length must be 2**k - 1")
-        if self.zero_count < 0 or any(c < 0 for c in self.ell):
+        if self.zero_count < 0 or min(self.ell, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
     @property
@@ -47,11 +47,7 @@ class ColumnProfile:
 
     def parity_mask(self) -> int:
         """Bit i set iff ell_i is odd."""
-        acc = 0
-        for i, c in enumerate(self.ell, start=1):
-            if c & 1:
-                acc |= 1 << i
-        return acc
+        return int("".join("01"[c & 1] for c in reversed(self.ell)) + "0", 2)
 
 
 @dataclass(frozen=True)
@@ -75,14 +71,27 @@ def column_index(col: tuple[int, ...] | list[int]) -> int:
 
 
 def column_profile(m: BinaryMatrix) -> ColumnProfile:
-    """Count each nonzero column pattern of m; zero columns counted apart."""
+    """Count each nonzero column pattern of m; zero columns counted apart.
+
+    The set of columns (an n-bit mask) is split by each row in turn into
+    the columns with a 0 and those with a 1 there; after the last row each
+    part holds the columns of one index, so its popcount is the multiplicity.
+    The split runs depth-first and drops empty parts, which keeps at most
+    k + 1 parts alive and costs at most sum(min(2**pos, n)) whole-int ANDs.
+    """
     counts = [0] * (1 << m.k)
-    shifts = [m.k - 1 - pos for pos in range(m.k)]
-    for j in range(m.n):
-        idx = 0
-        for pos in range(m.k):
-            idx |= ((m.rows[pos] >> j) & 1) << shifts[pos]
-        counts[idx] += 1
+    stack = [(0, 0, (1 << m.n) - 1)]  # (rows split so far, index prefix, columns)
+    while stack:
+        pos, idx, cols = stack.pop()
+        if pos == m.k:
+            counts[idx] = cols.bit_count()
+            continue
+        ones = cols & m.rows[pos]
+        zeros = cols ^ ones
+        if zeros:
+            stack.append((pos + 1, idx << 1, zeros))
+        if ones:
+            stack.append((pos + 1, idx << 1 | 1, ones))
     return ColumnProfile(m.k, tuple(counts[1:]), counts[0])
 
 
@@ -94,8 +103,7 @@ def _pair_mask(k: int, j: int, j2: int) -> int:
     key = (k, j, j2)
     cached = _PAIR_MASK_CACHE.get(key)
     if cached is None:
-        both = (1 << (j - 1)) | (1 << (j2 - 1))
-        cached = sum(1 << i for i in range(1, 1 << k) if i & both == both)
+        cached = _index_bit_mask(k, j - 1) & _index_bit_mask(k, j2 - 1)
         _PAIR_MASK_CACHE[key] = cached
     return cached
 
@@ -110,13 +118,10 @@ def intersection_parity(m: BinaryMatrix, j: int, j2: int) -> int:
     if not (1 <= j <= j2 <= m.k):
         raise IndexOutOfRangeError(f"need 1 <= j <= j2 <= {m.k}")
     from_rows = _row_ip(m.rows[m.k - j], m.rows[m.k - j2])
-    prof = column_profile(m)
-    total = sum(
-        prof.count(i)
-        for i in range(1, 1 << m.k)
-        if (1 << i) & _pair_mask(m.k, j, j2)
-    )
-    if (total & 1) != from_rows:
+    # The sum of the multiplicities in the pair mask has the parity of the
+    # number of odd ones among them.
+    odd_in_pair = column_profile(m).parity_mask() & _pair_mask(m.k, j, j2)
+    if (odd_in_pair.bit_count() & 1) != from_rows:
         raise AssertionError("profile and row inner product disagree")
     return from_rows
 
@@ -128,10 +133,15 @@ def is_so_profile(m: BinaryMatrix) -> bool:
     every pair of bit positions (including a position with itself) must be
     jointly set in an even number of columns.
     """
-    odd_mask = column_profile(m).parity_mask()
-    for j in range(1, m.k + 1):
-        for j2 in range(j, m.k + 1):
-            if (odd_mask & _pair_mask(m.k, j, j2)).bit_count() & 1:
+    return _is_so_parity(column_profile(m))
+
+
+def _is_so_parity(p: ColumnProfile) -> bool:
+    """is_so_profile on a profile already built."""
+    odd_mask = p.parity_mask()
+    for j in range(1, p.k + 1):
+        for j2 in range(j, p.k + 1):
+            if (odd_mask & _pair_mask(p.k, j, j2)).bit_count() & 1:
                 return False
     return True
 
@@ -189,12 +199,17 @@ def parity_sets(p: ColumnProfile) -> ParitySets:
 
 def so_verdicts(m: BinaryMatrix) -> dict[str, bool]:
     """All applicable self-orthogonality verdicts for a matrix."""
+    return _so_verdicts(m, column_profile(m))
+
+
+def _so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
+    """so_verdicts with m's column profile p already built."""
     out = {
         "gram_zero": gram(m).is_zero(),
-        "column_test": is_so_profile(m),
+        "column_test": _is_so_parity(p),
     }
     if 2 <= m.k <= 4:
-        out[f"dim{m.k}_test"] = is_so_dim_check(column_profile(m))
+        out[f"dim{m.k}_test"] = is_so_dim_check(p)
     return out
 
 

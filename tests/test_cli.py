@@ -130,6 +130,16 @@ def test_oracle_enumerate(capsys):
     assert main(["oracle", "enumerate", "--n", "7", "--k", "4", "--so"]) == 1
 
 
+@pytest.mark.parametrize("so", [False, True])
+def test_oracle_enumerate_distance_past_255(so, capsys):
+    # d >= 256 once n >= 384 at k = 2; the search memo must not cap values
+    so_flag = ["--so"] if so else []
+    assert main(["oracle", "enumerate", "--n", "384", "--k", "2", *so_flag]) == 0
+    assert "best distance: 256" in capsys.readouterr().out
+    assert main(["formula", "--n", "384", "--k", "2", *so_flag]) == 0
+    assert capsys.readouterr().out.startswith("256 (exact")
+
+
 def test_oracle_claims(capsys):
     assert main(["oracle", "claims414"]) == 0
     out = capsys.readouterr().out
