@@ -8,8 +8,10 @@ immutable, so every operation returns a new matrix.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -199,8 +201,10 @@ def _gray_codewords(basis: Sequence[int]) -> Iterable[int]:
 def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
     """Minimum weight over the nonzero row space.
 
-    Rank-deficient input is fine: enumeration runs over a row-space basis,
-    so each codeword is visited exactly once.
+    Rank-deficient input is fine: the search runs over a row-space basis.
+    It is a Brouwer-Zimmermann search over information sets while that is
+    estimated to be cheaper than the split-table walk of all 2**rank
+    codewords, and that walk otherwise (see _bz_min_weight).
     """
     basis = row_basis(m)
     if not basis:
@@ -209,7 +213,8 @@ def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
         raise CapExceededError(
             f"rank {len(basis)} > {RANK_CAP}; pass allow_large=True to force"
         )
-    return min(cw.bit_count() for cw in _gray_codewords(basis))
+    d = _bz_min_weight(basis, m.n, 1 << len(basis))
+    return _table_min_weight(basis) if d is None else d
 
 
 def weight_distribution(m: BinaryMatrix, allow_large: bool = False) -> dict[int, int]:
@@ -219,11 +224,177 @@ def weight_distribution(m: BinaryMatrix, allow_large: bool = False) -> dict[int,
         raise CapExceededError(
             f"rank {len(basis)} > {RANK_CAP}; pass allow_large=True to force"
         )
-    counts: dict[int, int] = {0: 1}
-    for cw in _gray_codewords(basis):
-        w = cw.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    table, high = _split_table(basis)
+    counts = Counter(map(int.bit_count, table))
+    for h in _gray_codewords(high):
+        counts.update(map(int.bit_count, map(h.__xor__, table)))
+    return dict(sorted(counts.items()))
+
+
+# ---------------------------------------------------------------------------
+# Codeword search.  Both paths keep the per-codeword work (XOR, popcount, min
+# or count) inside map/min/Counter, so it runs in C; Python only loops over
+# groups of codewords.
+
+# The split-table walk tabulates the span of at most this many basis rows.
+_TABLE_BITS = 10
+
+
+def _span(rows: Sequence[int]) -> list[int]:
+    """All 2**len(rows) XOR combinations of rows, 0 first."""
+    span = [0]
+    for r in rows:
+        span += list(map(r.__xor__, span))  # list first: span grows as it extends
+    return span
+
+
+def _split_table(basis: Sequence[int]) -> tuple[list[int], Sequence[int]]:
+    """The span of the low basis rows, and the high rows left to Gray-walk."""
+    return _span(basis[:_TABLE_BITS]), basis[_TABLE_BITS:]
+
+
+def _table_min_weight(basis: Sequence[int]) -> int:
+    """Minimum nonzero weight by the split-table walk of all 2**r codewords.
+
+    Each codeword h of the high rows' span (Gray order, one XOR each) is
+    XORed against the whole table of low-row combinations at once.
+    """
+    bc = int.bit_count
+    table, high = _split_table(basis)
+    best = min(map(bc, table[1:]))
+    for h in _gray_codewords(high):
+        best = min(best, min(map(bc, map(h.__xor__, table))))
+    return best
+
+
+def _subset_xors(rows: Sequence[int], t: int) -> list[int]:
+    """XORs of all t-subsets of rows, ordered by their last row: the first
+    C(s, t) of them are the t-subsets of rows[:s]."""
+    levels = [[0]] + [[] for _ in range(t)]
+    for g in rows:
+        for i in range(t, 0, -1):
+            levels[i] += map(g.__xor__, levels[i - 1])
+    return levels[t]
+
+
+def _level_min_weight(rows: Sequence[int], w: int) -> int:
+    """Minimum weight of the XOR of any w distinct rows (1 <= w <= len(rows)).
+
+    Meet in the middle: a w-subset is its first b = ceil(w/2) rows joined
+    with its last a = w - b rows.  Each a-subset whose first row is s is
+    XORed against the whole table of b-subsets of the rows before s, a
+    prefix of one list of C(r, b) ints.
+    """
+    bc = int.bit_count
+    b = (w + 1) // 2
+    a = w - b
+    table = _subset_xors(rows, b)
+    if not a:
+        return min(map(bc, table))
+    best = sum(map(bc, rows))  # no XOR of the rows weighs more
+    for s in range(b, len(rows) - a + 1):
+        head = table[: comb(s, b)]
+        for x in _subset_xors(rows[s + 1 :], a - 1) if a > 1 else (0,):
+            best = min(best, min(map(bc, map((x ^ rows[s]).__xor__, head))))
+    return best
+
+
+def _systematic_form(basis: Sequence[int], free: int) -> tuple[list[int], int] | None:
+    """Rows spanning the code that form an identity on r columns of free.
+
+    Gauss-Jordan elimination with pivots taken only in the free columns.
+    Returns the rows and the mask of their pivot columns (an information
+    set), or None when the free columns have rank below r.
+    """
+    form: list[int] = []
+    pivots: list[int] = []
+    for v in basis:
+        for p, row in zip(pivots, form):
+            if v & p:
+                v ^= row
+        u = v & free
+        if not u:
+            return None
+        p = u & -u
+        for i, row in enumerate(form):
+            if row & p:
+                form[i] = row ^ v
+        form.append(v)
+        pivots.append(p)
+    return form, sum(pivots)
+
+
+# Cost model of _bz_min_weight, in units of one codeword's XOR, popcount
+# and min inside map: the Python overhead of one meet-in-the-middle group,
+# and of building one systematic form, per basis row squared.  The search
+# gives up on an estimate only after it has spent 1/_PROBE of its budget,
+# because the estimate rests on the best weight seen, which the first
+# levels bring down quickly.
+_GROUP_COST = 16
+_FORM_COST = 1
+_PROBE = 16
+
+
+def _level_cost(r: int, w: int) -> int:
+    return comb(r, w) + _GROUP_COST * comb(r, w // 2)
+
+
+def _steps_cost(r: int, m: int, first: int, stop: int) -> int:
+    """Estimated cost of steps first .. stop - 1, step s being level s // m
+    of one of m forms."""
+    cost = 0
+    for w in range(first // m, min((stop - 1) // m, r) + 1):
+        cost += (min(stop, (w + 1) * m) - max(first, w * m)) * _level_cost(r, w)
+    return cost
+
+
+def _bz_min_weight(basis: list[int], n: int, budget: float) -> int | None:
+    """Minimum nonzero weight of the span of basis, or None once the search
+    is estimated to cost more than budget codewords.
+
+    Brouwer-Zimmermann: peel disjoint information sets I_1, ..., I_m off the
+    columns, each with a systematic form G_j (identity on I_j).  A codeword
+    is the XOR of the rows of G_j picked by its restriction to I_j, so once
+    the w-row combinations of G_1..G_j for w <= W and of G_j+1..G_m for
+    w < W have been seen, every codeword not seen has weight at least
+    mW + j; when the best weight seen is within that bound, it is the
+    minimum.  Step (W, j) thus lifts the bound to mW + j + 1, and the steps
+    left are those numbered mW + j up to best - 1.  The forms are built
+    during level 1, and until then m is estimated as n // r, so the estimate
+    of the work left uses only r, n and the best weight seen.
+    """
+    r = len(basis)
+    bc = int.bit_count
+    best = n
+    forms: list[list[int]] = []
+    used = 0
+    spent = 0
+    m = n // r
+    step = _FORM_COST * r * r + _level_cost(r, 1)
+    while best > 2 * len(forms):
+        j = len(forms)
+        todo = (m - j) * step + _steps_cost(r, m, 2 * m, best)
+        if todo > budget and spent + step > budget / _PROBE:
+            return None
+        made = _systematic_form(basis, ((1 << n) - 1) & ~used)
+        if made is None:
+            break
+        forms.append(made[0])
+        used |= made[1]
+        best = min(best, min(map(bc, made[0])))
+        spent += step
+    m = len(forms)
+    for w in range(2, r + 1):
+        step = _level_cost(r, w)
+        for j, form in enumerate(forms):
+            if best <= m * w + j:
+                return best
+            todo = _steps_cost(r, m, m * w + j, best)
+            if todo > budget and spent + step > budget / _PROBE:
+                return None
+            best = min(best, _level_min_weight(form, w))
+            spent += step
+    return best
 
 
 def h_column(k: int, i: int) -> tuple[int, ...]:
@@ -296,8 +467,9 @@ def random_full_rank_matrix(rng, k: int, n: int) -> BinaryMatrix:
 def naive_min_distance(m: BinaryMatrix) -> int:
     """Reference minimum distance: all nonzero row combinations, dedup'd.
 
-    Exists as an independent check for the Gray-code path; quadratic in the
-    number of combinations, so only for small matrices.
+    Exists as an independent check for the min_distance searches.  It XORs
+    up to k rows for each of the 2**k row combinations, k * 2**k XORs in
+    all, so it is only for small matrices.
     """
     seen = set()
     for picks in itertools.product((0, 1), repeat=m.k):

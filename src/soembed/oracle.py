@@ -27,7 +27,7 @@ from .gf2 import (
     random_matrix,
     simplex_matrix,
 )
-from .profiles import ColumnProfile, _pair_mask, column_profile
+from .profiles import ColumnProfile, _is_so_odd_mask, _pair_mask, column_profile
 from .tables import CLASS7_MASKS, CLASS8_MASKS
 
 PROFILE_SPACE_CAP = 10**8
@@ -535,11 +535,7 @@ def random_so_profile_search(
 
     def parity_is_so(ell: list[int]) -> bool:
         odd = sum(1 << i for i in range(1, ncols + 1) if ell[i] & 1)
-        return not any(
-            (odd & _pair_mask(k, j, j2)).bit_count() & 1
-            for j in range(1, k + 1)
-            for j2 in range(j, k + 1)
-        )
+        return _is_so_odd_mask(k, odd)
 
     def climb(ell: list[int]) -> int:
         ell[0] = n - sum(ell[1:])

@@ -92,20 +92,29 @@ def column_profile(m: BinaryMatrix) -> ColumnProfile:
             stack.append((pos + 1, idx << 1, zeros))
         if ones:
             stack.append((pos + 1, idx << 1 | 1, ones))
-    return ColumnProfile(m.k, tuple(counts[1:]), counts[0])
+    zero_count = counts.pop(0)  # in place: a slice would be a third 2**k list
+    return ColumnProfile(m.k, tuple(counts), zero_count)
 
 
-_PAIR_MASK_CACHE: dict[tuple[int, int, int], int] = {}
+_BIT_MASK_CACHE: dict[int, tuple[int, ...]] = {}
+
+
+def _bit_masks(k: int) -> tuple[int, ...]:
+    """_index_bit_mask(k, b) for b = 0 .. k - 1, built once per k.
+
+    Only these k masks of 2**k bits are kept; a pair mask is one AND of two
+    of them, so the k(k + 1)/2 pair masks never need to be held at once.
+    """
+    masks = _BIT_MASK_CACHE.get(k)
+    if masks is None:
+        masks = _BIT_MASK_CACHE[k] = tuple(_index_bit_mask(k, b) for b in range(k))
+    return masks
 
 
 def _pair_mask(k: int, j: int, j2: int) -> int:
     """Mask over indices 1 .. 2**k - 1 whose bits j-1 and j2-1 are both set."""
-    key = (k, j, j2)
-    cached = _PAIR_MASK_CACHE.get(key)
-    if cached is None:
-        cached = _index_bit_mask(k, j - 1) & _index_bit_mask(k, j2 - 1)
-        _PAIR_MASK_CACHE[key] = cached
-    return cached
+    masks = _bit_masks(k)
+    return masks[j - 1] & masks[j2 - 1]
 
 
 def intersection_parity(m: BinaryMatrix, j: int, j2: int) -> int:
@@ -138,10 +147,16 @@ def is_so_profile(m: BinaryMatrix) -> bool:
 
 def _is_so_parity(p: ColumnProfile) -> bool:
     """is_so_profile on a profile already built."""
-    odd_mask = p.parity_mask()
-    for j in range(1, p.k + 1):
-        for j2 in range(j, p.k + 1):
-            if (odd_mask & _pair_mask(p.k, j, j2)).bit_count() & 1:
+    return _is_so_odd_mask(p.k, p.parity_mask())
+
+
+def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
+    """is_so_profile from the mask of odd multiplicities (bit i for index i)."""
+    masks = _bit_masks(k)
+    for j, mask in enumerate(masks):
+        odd_j = odd_mask & mask
+        for mask2 in masks[j:]:
+            if (odd_j & mask2).bit_count() & 1:
                 return False
     return True
 

@@ -1,8 +1,15 @@
 """Core GF(2) matrix operations against hand-checked and brute-force values."""
 
+import itertools
+import math
 import random
+from collections import Counter
+from functools import reduce
+from operator import xor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soembed.errors import (
     BadCharacterError,
@@ -16,6 +23,10 @@ from soembed.errors import (
 from soembed.gf2 import (
     BinaryMatrix,
     LinearCode,
+    _bz_min_weight,
+    _level_min_weight,
+    _systematic_form,
+    _table_min_weight,
     gram,
     h_column,
     horizontal_join,
@@ -23,8 +34,10 @@ from soembed.gf2 import (
     min_distance,
     naive_min_distance,
     parse_matrix,
+    random_full_rank_matrix,
     random_matrix,
     rank,
+    row_basis,
     simplex_matrix,
     weight_distribution,
 )
@@ -217,3 +230,122 @@ def test_linear_code_caching():
     assert code.rank == 4
     assert code.dmin == 3
     assert code.n == 7
+
+
+# ---------------------------------------------------------------------------
+# The two minimum-weight paths, each checked on its own so that the choice
+# between them cannot hide a broken one.
+
+SEARCH_SETTINGS = settings(max_examples=80, deadline=None)
+# Rank 12: the split-table walk has high rows to walk beyond its table.
+RANK_12 = random_full_rank_matrix(random.Random(1230), 12, 30)
+
+
+@st.composite
+def codes(draw, max_k=12, max_n=60):
+    """Nonzero matrices, with zero columns, duplicate and dependent rows.
+
+    Some repeat one block of columns, so that a codeword can weigh exactly
+    the bound of the information sets that the search has not yet seen.
+    """
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    copies = draw(st.integers(1, 4))
+    if copies > 1:
+        n = max(n // copies, 1)
+        rows = [sum((r % (1 << n)) << (n * c) for c in range(copies)) for r in rows]
+        n *= copies
+    if draw(st.booleans()):
+        zero_cols = draw(st.integers(0, (1 << n) - 1))
+        rows = [r & ~zero_cols for r in rows]
+    index = st.integers(0, k - 1)
+    for i, j, j2 in draw(st.lists(st.tuples(index, index, index), max_size=3)):
+        rows[i] = rows[j] if j == j2 else rows[j] ^ rows[j2]
+    rows[draw(index)] |= 1 << draw(st.integers(0, n - 1))
+    return BinaryMatrix(k, n, tuple(rows))
+
+
+@st.composite
+def narrow_codes(draw):
+    """Full-rank r x n matrices with n < 2r: one information set at most."""
+    r = draw(st.integers(1, 12))
+    n = draw(st.integers(r, 2 * r - 1))
+    tail = st.integers(0, (1 << (n - r)) - 1)
+    rows = [1 << i | draw(tail) << r for i in range(r)]
+    index = st.integers(0, r - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * r)):
+        if i != j:
+            rows[i] ^= rows[j]
+    return BinaryMatrix(r, n, tuple(rows))
+
+
+def naive_weight_distribution(m):
+    span = {
+        reduce(xor, (r for b, r in zip(picks, m.rows) if b), 0)
+        for picks in itertools.product((0, 1), repeat=m.k)
+    }
+    return dict(Counter(c.bit_count() for c in span))
+
+
+@SEARCH_SETTINGS
+@given(codes())
+@example(RANK_12)
+def test_table_walk_matches_naive(m):
+    assert _table_min_weight(row_basis(m)) == naive_min_distance(m)
+
+
+@SEARCH_SETTINGS
+@given(codes())
+# The bound here is met exactly by a codeword not yet seen: stopping one
+# step early returns 3 instead of 2.
+@example(parse_matrix("00111\n11111\n01011\n11111"))
+def test_bz_search_matches_naive(m):
+    assert _bz_min_weight(row_basis(m), m.n, math.inf) == naive_min_distance(m)
+
+
+@SEARCH_SETTINGS
+@given(narrow_codes())
+def test_bz_search_with_one_information_set(m):
+    basis = row_basis(m)
+    form, pivots = _systematic_form(basis, (1 << m.n) - 1)
+    assert _systematic_form(basis, ((1 << m.n) - 1) & ~pivots) is None
+    assert _bz_min_weight(basis, m.n, math.inf) == naive_min_distance(m)
+
+
+@SEARCH_SETTINGS
+@given(codes())
+def test_systematic_form_is_identity_on_its_information_set(m):
+    basis = row_basis(m)
+    form, pivots = _systematic_form(basis, (1 << m.n) - 1)
+    assert len(form) == len(basis) and pivots.bit_count() == len(basis)
+    assert sorted(row & pivots for row in form) == sorted(
+        1 << j for j in range(m.n) if pivots >> j & 1
+    )
+    assert rank(BinaryMatrix(2 * len(basis), m.n, tuple(form + basis))) == len(basis)
+
+
+@SEARCH_SETTINGS
+@given(codes(max_k=9))
+def test_level_min_weight_matches_combinations(m):
+    basis = row_basis(m)
+    for w in range(1, len(basis) + 1):
+        expect = min(reduce(xor, c).bit_count() for c in itertools.combinations(basis, w))
+        assert _level_min_weight(basis, w) == expect, w
+
+
+@SEARCH_SETTINGS
+@given(codes())
+@example(RANK_12)
+def test_weight_distribution_matches_naive(m):
+    assert weight_distribution(m) == naive_weight_distribution(m)
+
+
+def test_min_distance_deep_sized_case():
+    # 18 x 64 is one of the benchmark's dmin shapes; 14 is the value of the
+    # plain Gray-code walk over all 2**18 codewords.
+    m = random_full_rank_matrix(random.Random(18064), 18, 64)
+    basis = row_basis(m)
+    assert min_distance(m) == 14
+    assert _bz_min_weight(basis, m.n, math.inf) == 14
+    assert _table_min_weight(basis) == 14
