@@ -1,7 +1,8 @@
 """Independent brute-force ground truth for embeddings and optimal distances.
 
 Nothing here trusts the closed-form machinery it is used to check: minimal
-embeddings come from multiset search over appendable columns, and optimal
+embeddings come from an exhaustive meet-in-the-middle breadth-first search
+over Gram syndromes, the states reachable by appending columns, and optimal
 distances from exhaustive search over column-multiplicity profiles (which
 determine a code up to column permutation).
 """
@@ -67,32 +68,54 @@ def _gram_mask(m: BinaryMatrix) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _sym_masks(k: int) -> tuple[int, ...]:
+    """_sym_mask(i, k) for each column index i = 0 .. 2**k - 1, once per k."""
+    return tuple(_sym_mask(i, k) for i in range(1 << k))
+
+
 def min_embedding_oracle(
     m: BinaryMatrix, max_add: int = ORACLE_ADD_CAP
 ) -> int | None:
     """Least number of appendable nonzero columns that zero the Gram matrix.
 
-    Iterates multisets of column indices in lexicographic order per size
-    m = 0, 1, ...; returns None when no multiset within max_add works.
+    Appending column c XORs its outer product _sym_mask(c) into the packed
+    Gram syndrome, and appending a column twice changes nothing, so the
+    answer is the distance from the syndrome to 0 in the graph whose edges
+    are the 2**k - 1 outer products.  Exact-distance layers L0 = {0}, L1, ...
+    are built breadth-first as far as needed; size s = a + b, a = ceil(s/2),
+    b = floor(s/2), is reached when target ^ x lies in Lb for some x in La,
+    which is exact because every smaller size has already failed.  The work
+    is at most the ball of radius ceil(max_add/2) among the
+    2**(k(k+1)/2) syndromes, times the 2**k - 1 generators.  Returns None
+    when no set within max_add columns works.
     """
     if m.k > ORACLE_K_CAP:
         raise CapExceededError(f"oracle supports k <= {ORACLE_K_CAP}")
     if max_add > ORACLE_ADD_CAP:
         raise CapExceededError(f"oracle supports max_add <= {ORACLE_ADD_CAP}")
+    if max_add < 0:
+        raise DomainError("oracle needs max_add >= 0")
     target = _gram_mask(m)
     if target == 0:
         return 0
-    ncols = (1 << m.k) - 1
-    masks = [0] + [_sym_mask(i, m.k) for i in range(1, ncols + 1)]
+    gens = _sym_masks(m.k)[1:]
+    layers = [{0}]
     for size in range(1, max_add + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(1, ncols + 1), size
-        ):
-            acc = 0
-            for i in combo:
-                acc ^= masks[i]
-            if acc == target:
-                return size
+        a, b = (size + 1) // 2, size // 2
+        while len(layers) <= a:
+            last = layers[-1]
+            nxt = set()
+            for g in gens:
+                nxt.update(map(g.__xor__, last))
+            # One generator moves the distance to 0 by at most one, so only
+            # the last two layers can hold a neighbour that is not new.
+            nxt -= last
+            if len(layers) > 1:
+                nxt -= layers[-2]
+            layers.append(nxt)
+        if not layers[a].isdisjoint(map(target.__xor__, layers[b])):
+            return size
     return None
 
 
@@ -389,8 +412,7 @@ def _parity_kernel_basis(k: int) -> list[int]:
     Flipping the multiplicity parity on such a set preserves the Gram
     matrix, so these are the self-orthogonality-preserving parity moves.
     """
-    ncols = (1 << k) - 1
-    vecs = [(_sym_mask(i, k), 1 << i) for i in range(1, ncols + 1)]
+    vecs = [(sm, 1 << i) for i, sm in enumerate(_sym_masks(k)) if i]
     pivots: dict[int, tuple[int, int]] = {}
     kernel = []
     for val, tag in vecs:
@@ -418,8 +440,7 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
     Only built for k <= 5, where the syndrome space is small.
     """
     nsyn = 1 << (k * (k + 1) // 2)
-    ncols = (1 << k) - 1
-    masks = [_sym_mask(i, k) for i in range(1, ncols + 1)]
+    masks = _sym_masks(k)[1:]
     leaders = [-1] * nsyn
     leaders[0] = 0
     frontier = [0]
@@ -487,6 +508,7 @@ def random_so_profile_search(
     ncols = (1 << k) - 1
     hits = _hit_masks(k)
     kernel = _parity_kernel_basis(k)
+    sym_masks = _sym_masks(k)
     leaders = _coset_leaders(k) if k <= 5 else None
     best = 0
     best_profile: ColumnProfile | None = None
@@ -514,7 +536,7 @@ def random_so_profile_search(
         syn = 0
         for i in range(1, ncols + 1):
             if ell[i] & 1:
-                syn ^= _sym_mask(i, k)
+                syn ^= sym_masks[i]
         flips = leaders[syn]
         for i in range(1, ncols + 1):
             if (flips >> i) & 1:

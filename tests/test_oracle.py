@@ -1,9 +1,13 @@
 """Brute-force oracles: worked values, cross-checks, determinism."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soembed.cli import main
 from soembed.errors import CapExceededError, DomainError, NoSOCodeError
 from soembed.gf2 import (
     BinaryMatrix,
@@ -16,6 +20,9 @@ from soembed.gf2 import (
     simplex_matrix,
 )
 from soembed.oracle import (
+    _coset_leaders,
+    _gram_mask,
+    _sym_mask,
     enumerate_codes_by_profile,
     enumerate_codes_naive,
     matrix_from_profile,
@@ -38,6 +45,89 @@ def test_min_embedding_caps():
         min_embedding_oracle(simplex_matrix(7))
     with pytest.raises(CapExceededError):
         min_embedding_oracle(simplex_matrix(3), max_add=9)
+    # refused even where the answer would be 0 columns
+    with pytest.raises(DomainError):
+        min_embedding_oracle(simplex_matrix(3), max_add=-1)
+
+
+def test_min_embedding_negative_max_add_cli(tmp_path, capsys):
+    p = tmp_path / "so.txt"
+    p.write_text(simplex_matrix(3).to_text())
+    assert main(["oracle", "min-embed", str(p), "--max-add", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_add >= 0" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the syndrome search against independent answers
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
+# Six rows of even weight whose Gram matrix is alternating of rank 6:
+# Lempel's count is 6 + 1, the most any k = 6 input needs.
+NEEDS_SEVEN = parse_matrix(
+    "110000000\n011000000\n000110000\n000011000\n000000110\n000000011"
+)
+
+
+@st.composite
+def small_matrices(draw, max_k):
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    return BinaryMatrix(k, n, tuple(rows))
+
+
+def ref_min_embedding(m, max_add):
+    """The multiset loop the syndrome search replaced, one multiset at a time."""
+    target = _gram_mask(m)
+    if target == 0:
+        return 0
+    ncols = (1 << m.k) - 1
+    masks = [0] + [_sym_mask(i, m.k) for i in range(1, ncols + 1)]
+    for size in range(1, max_add + 1):
+        for combo in itertools.combinations_with_replacement(
+            range(1, ncols + 1), size
+        ):
+            acc = 0
+            for i in combo:
+                acc ^= masks[i]
+            if acc == target:
+                return size
+    return None
+
+
+def lempel_count(m):
+    """rank(S) for the Gram matrix S, plus 1 when S != 0 has a zero diagonal."""
+    s = gram(m)
+    zero_diagonal = all(r.bit_count() % 2 == 0 for r in m.rows)
+    return rank(s) + (zero_diagonal and not s.is_zero())
+
+
+@ORACLE_SETTINGS
+@given(small_matrices(max_k=4), st.integers(0, 4))
+def test_min_embedding_matches_multiset_loop(m, max_add):
+    assert min_embedding_oracle(m, max_add) == ref_min_embedding(m, max_add)
+
+
+@ORACLE_SETTINGS
+@given(small_matrices(max_k=5), st.integers(0, 8))
+def test_min_embedding_matches_coset_leaders(m, max_add):
+    need = _coset_leaders(m.k)[_gram_mask(m)].bit_count()
+    expected = need if need <= max_add else None
+    assert min_embedding_oracle(m, max_add) == expected
+
+
+@ORACLE_SETTINGS
+@given(small_matrices(max_k=6))
+def test_min_embedding_matches_lempel(m):
+    assert min_embedding_oracle(m) == lempel_count(m)
+
+
+def test_min_embedding_needs_seven_at_k6():
+    assert lempel_count(NEEDS_SEVEN) == 7
+    assert min_embedding_oracle(NEEDS_SEVEN) == 7
+    assert min_embedding_oracle(NEEDS_SEVEN, max_add=6) is None
 
 
 def test_min_embedding_not_found():
