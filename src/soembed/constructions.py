@@ -21,7 +21,7 @@ from .distances import (
     d_opt,
     dso_opt,
 )
-from .errors import CapExceededError, MissingSeedError, SoEmbedError
+from .errors import CapExceededError, DomainError, MissingSeedError, SoEmbedError
 from .gf2 import (
     BinaryMatrix,
     gram,
@@ -146,6 +146,8 @@ def build_optimal(
     is exact when it matches the known optimum, else the achieved distance
     is reported as a witness.
     """
+    if k < 1 or n < k:
+        raise DomainError(f"need 1 <= k <= n, got n={n} k={k}")
     period = (1 << k) - 1
     reg = reg if reg is not None else registry()
     candidates = [

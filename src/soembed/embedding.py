@@ -91,32 +91,29 @@ def _require_k(m: BinaryMatrix, k: int) -> None:
         raise WrongDimensionError(f"matrix has {m.k} rows, need {k}")
 
 
-def _append_h(g: BinaryMatrix, added: list[tuple[int, int]]) -> BinaryMatrix:
-    """g with the columns h_column(level, index) of added appended, in order."""
-    return horizontal_join(g, [h_column(lv, i) for lv, i in added])
+def _flip_report(
+    g: BinaryMatrix, masks: tuple[int, ...], policy: EmbedPolicy = DEFAULT_POLICY
+) -> EmbedReport:
+    """Append h_column(g.k, i) once for each set bit i of each mask in turn,
+    ascending within a mask: each column flips the parity of ell_i."""
+    added = tuple(
+        (g.k, i) for m in masks for i in range(m.bit_length()) if m >> i & 1
+    )
+    out = horizontal_join(g, [h_column(lv, i) for lv, i in added])
+    return EmbedReport(input=g, added=added, output=out, policy=policy)
 
 
 def embed_dim2(g: BinaryMatrix) -> EmbedReport:
     """Append h_i once for each of i = 1, 2, 3 with odd multiplicity."""
     _require_k(g, 2)
-    odd = column_profile(g).parity_mask()
-    added = [(2, i) for i in (1, 2, 3) if odd >> i & 1]
-    return EmbedReport(input=g, added=tuple(added), output=_append_h(g, added))
+    return _flip_report(g, (column_profile(g).parity_mask(),))
 
 
 def embed_dim3(g: BinaryMatrix) -> EmbedReport:
-    """Flip the smaller parity class into the larger, one index at a time."""
+    """Flip the smaller parity class into the larger."""
     _require_k(g, 3)
-    full = 0b11111110  # indices 1..7
     odd = column_profile(g).parity_mask()
-    added = []
-    while odd and odd != full:
-        even = full ^ odd
-        smaller = even if even.bit_count() < odd.bit_count() else odd
-        i0 = (smaller & -smaller).bit_length() - 1
-        added.append((3, i0))
-        odd ^= 1 << i0
-    return EmbedReport(input=g, added=tuple(added), output=_append_h(g, added))
+    return _flip_report(g, (odd if odd.bit_count() < 4 else 0b11111110 ^ odd,))
 
 
 def _dim4_projected_counts(odd_mask: int) -> list[int]:
@@ -145,33 +142,19 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
             raise InvalidPolicyError(
                 f"s0={s0} appends {totals[s0 - 1]} columns, minimum is {best}"
             )
-    added = []
+    # Flip the minority parity on each class; the tie rule decides which
+    # half of the 8-class to flip when exactly 4 of its indices are odd.
     mask7 = CLASS7_MASKS[s0 - 1]
     mask8 = CLASS8_MASKS[s0 - 1]
-    # 7-class loop: flip minority-parity indices until the class is constant.
-    while True:
-        inter = odd & mask7
-        work = inter if inter.bit_count() < 4 else inter ^ mask7
-        if not work:
-            break
-        i0 = (work & -work).bit_length() - 1
-        added.append((4, i0))
-        odd ^= 1 << i0
-    # 8-class loop; the tie rule decides which half to flip at exactly 4.
-    while True:
-        inter = odd & mask8
-        c = inter.bit_count()
-        if c < 4 or (c == 4 and policy.tie4 == TIE4_INTERSECT):
-            work = inter
-        else:
-            work = inter ^ mask8
-        if not work:
-            break
-        i0 = (work & -work).bit_length() - 1
-        added.append((4, i0))
-        odd ^= 1 << i0
-    out = _append_h(g, added)
-    return EmbedReport(input=g, added=tuple(added), output=out, policy=policy)
+    odd7 = odd & mask7
+    odd8 = odd & mask8
+    flip7 = odd7 if odd7.bit_count() < 4 else mask7 ^ odd7
+    c8 = odd8.bit_count()
+    if c8 < 4 or c8 == 4 and policy.tie4 == TIE4_INTERSECT:
+        flip8 = odd8
+    else:
+        flip8 = mask8 ^ odd8
+    return _flip_report(g, (flip7, flip8), policy)
 
 
 def embed_recursive(g: BinaryMatrix) -> EmbedReport:
@@ -234,11 +217,7 @@ def embed(
             f"rank {rank(g)} < {g.k}; pass allow_rank_deficient=True to force"
         )
     if g.k == 1:
-        if g.rows[0].bit_count() & 1:
-            out = horizontal_join(g, [(1,)])
-            rep = EmbedReport(input=g, added=((1, 1),), output=out)
-        else:
-            rep = EmbedReport(input=g, added=(), output=g)
+        rep = _flip_report(g, ((g.rows[0].bit_count() & 1) << 1,))
     elif g.k == 2:
         rep = embed_dim2(g)
     elif g.k == 3:

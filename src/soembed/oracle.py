@@ -4,7 +4,10 @@ Nothing here trusts the closed-form machinery it is used to check: minimal
 embeddings come from an exhaustive meet-in-the-middle breadth-first search
 over Gram syndromes, the states reachable by appending columns, and optimal
 distances from exhaustive search over column-multiplicity profiles (which
-determine a code up to column permutation).
+determine a code up to column permutation).  The self-orthogonal parity
+patterns that search may use are the kernel of the map sending an index
+set to the XOR of its columns' outer products, found by elimination, not
+read from the dimension-4 split tables.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from .gf2 import (
     gram,
     h_column,
     horizontal_join,
-    min_distance,
     rank,
     random_matrix,
-    simplex_matrix,
 )
 from .profiles import ColumnProfile, _is_so_odd_mask, _pair_mask, column_profile
 from .tables import CLASS7_MASKS, CLASS8_MASKS
@@ -137,20 +138,14 @@ def _hit_masks(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _so_parity_masks(k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _so_parity_masks(k: int) -> tuple[int, ...]:
     """All multiplicity-parity vectors (bit i = parity of ell_i) that give
-    a self-orthogonal code in dimension k <= 4."""
-    if k == 1 or k == 2:
-        return [0]
-    if k == 3:
-        return [0, sum(1 << i for i in range(1, 8))]
-    if k == 4:
-        full = sum(1 << i for i in range(1, 16))
-        masks = {0, full}
-        masks.update(CLASS7_MASKS)
-        masks.update(CLASS8_MASKS)
-        return sorted(masks)
-    raise DomainError("profile enumeration supports k <= 4")
+    a self-orthogonal code: the span of the parity kernel, ascending."""
+    span = [0]
+    for b in _parity_kernel_basis(k):
+        span += [m ^ b for m in span]
+    return tuple(sorted(span))
 
 
 def _feasible(
@@ -257,7 +252,7 @@ def _search_profile(
     d: int,
     hits: tuple[int, ...],
     half: int,
-    parities: list[int] | None,
+    parities: tuple[int, ...] | None,
 ) -> ColumnProfile | None:
     """One feasibility level of the enumeration: any profile with min
     weight >= d, or None."""
@@ -273,18 +268,11 @@ def _search_profile(
             nbase = bmask.bit_count()
             if nbase > n:
                 continue
-            base_t = [0] * (ncols + 1)
-            for i in range(1, ncols + 1):
-                if (bmask >> i) & 1:
-                    for x in range(1, ncols + 1):
-                        if (hits[i] >> x) & 1:
-                            base_t[x] += 1
+            bits = [bmask >> i & 1 for i in range(ncols + 1)]
+            base_t = _profile_weights(bits, hits, ncols)
             units = _feasible(d, (n - nbase) // 2, 2, base_t, hits, half)
             if units is not None:
-                ell = [
-                    ((bmask >> i) & 1) + 2 * units[i - 1]
-                    for i in range(1, ncols + 1)
-                ]
+                ell = [b + 2 * u for b, u in zip(bits[1:], units)]
                 break
         if ell is None:
             return None
@@ -502,6 +490,8 @@ def random_so_profile_search(
     rng_seed: int = 0,
 ) -> tuple[int, ColumnProfile | None]:
     """random_so_search plus the witness profile of the best sample."""
+    if k < 1 or n < 0:
+        raise DomainError("random search needs k >= 1 and n >= 0")
     if k > 8:
         raise CapExceededError("random search supports k <= 8")
     rng = random.Random(rng_seed)

@@ -4,17 +4,21 @@ A matrix's column profile counts how many of its columns equal each of the
 2**k - 1 nonzero binary columns.  Self-orthogonality is decidable from the
 profile alone: in general as evenness of all pairwise column-intersection
 counts, and in dimensions 2..4 as parity-constancy conditions on the
-multiplicities (dimension 4 uses the fixed index-class tables).
+multiplicities (dimension 4 uses the 15 index-class splits of
+:mod:`soembed.tables`, the hyperplanes of F_2^4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRangeError, WrongDimensionError
+from .errors import CapExceededError, IndexOutOfRangeError, WrongDimensionError
 from .gf2 import BinaryMatrix, _index_bit_mask, _row_ip, gram
 from .tables import CLASS7_MASKS, CLASS8_MASKS, DIM4_TABLES, Dim4Tables
 from .tables import verify_sigma_symmetry  # noqa: F401  (re-exported API)
+
+# 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
+PROFILE_K_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,10 @@ def column_profile(m: BinaryMatrix) -> ColumnProfile:
     part holds the columns of one index, so its popcount is the multiplicity.
     The split runs depth-first and drops empty parts, which keeps at most
     k + 1 parts alive and costs at most sum(min(2**pos, n)) whole-int ANDs.
+    The 2**k counts are refused above k = PROFILE_K_CAP.
     """
+    if m.k > PROFILE_K_CAP:
+        raise CapExceededError(f"column profile supports k <= {PROFILE_K_CAP}")
     counts = [0] * (1 << m.k)
     stack = [(0, 0, (1 << m.n) - 1)]  # (rows split so far, index prefix, columns)
     while stack:

@@ -1,13 +1,17 @@
-"""Fixed index tables behind the dimension-4 self-orthogonality test.
+"""The index-class splits behind the dimension-4 self-orthogonality test.
 
-For each split s = 1..15 the index range {1..15} is cut into a 7-element
-class and an 8-element class; parity constancy of the column multiplicities
-on both classes, for some s, is exactly dimension-4 self-orthogonality.
-The companion pair families group indices into sum-comparable pairs and
-drive consistency checks on the class tables.
+Column index i in 1..15 is a nonzero vector of F_2^4 (bit j of i is its
+j-th coordinate).  Split s = 1..15 cuts {1..15} along the hyperplane
+orthogonal to rev4(s), the 4 bits of s reversed: the 8-class holds the i
+with <i, rev4(s)> = 1 and the 7-class the nonzero vectors of the
+hyperplane itself.  Parity constancy of the column multiplicities on both
+classes, for some s, is exactly dimension-4 self-orthogonality.  The
+companion pair families group the 14 indices other than s into the pairs
+(x, x ^ s) and drive consistency checks on the class tables.
 
-The data is literal constant data; :func:`validate_tables` runs at import
-so a transcription error fails loudly instead of corrupting embeddings.
+All of it is derived here rather than written out; :func:`validate_tables`
+runs at import so a wrong derivation fails loudly instead of corrupting
+embeddings.
 """
 
 from __future__ import annotations
@@ -16,84 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 Pair = tuple[int, int]
-
-_PAIRS_SMALL: tuple[tuple[Pair, ...], ...] = (
-    ((2, 3), (4, 5), (6, 7)),
-    ((1, 3), (4, 6), (5, 7)),
-    ((1, 2), (4, 7), (5, 6)),
-    ((1, 5), (2, 6), (3, 7)),
-    ((1, 4), (2, 7), (3, 6)),
-    ((1, 7), (2, 4), (3, 5)),
-    ((1, 6), (2, 5), (3, 4)),
-    ((1, 9), (2, 10), (3, 11)),
-    ((1, 8), (2, 11), (3, 10)),
-    ((1, 11), (2, 8), (3, 9)),
-    ((1, 10), (2, 9), (3, 8)),
-    ((1, 13), (2, 14), (3, 15)),
-    ((1, 12), (2, 15), (3, 14)),
-    ((1, 15), (2, 12), (3, 13)),
-    ((1, 14), (2, 13), (3, 12)),
-)
-
-_PAIRS_LARGE: tuple[tuple[Pair, ...], ...] = (
-    ((8, 9), (10, 11), (12, 13), (14, 15)),
-    ((8, 10), (9, 11), (12, 14), (13, 15)),
-    ((8, 11), (9, 10), (12, 15), (13, 14)),
-    ((8, 12), (9, 13), (10, 14), (11, 15)),
-    ((8, 13), (9, 12), (10, 15), (11, 14)),
-    ((8, 14), (9, 15), (10, 12), (11, 13)),
-    ((8, 15), (9, 14), (10, 13), (11, 12)),
-    ((4, 12), (5, 13), (6, 14), (7, 15)),
-    ((4, 13), (5, 12), (6, 15), (7, 14)),
-    ((4, 14), (5, 15), (6, 12), (7, 13)),
-    ((4, 15), (5, 14), (6, 13), (7, 12)),
-    ((4, 8), (5, 9), (6, 10), (7, 11)),
-    ((4, 9), (5, 8), (6, 11), (7, 10)),
-    ((4, 10), (5, 11), (6, 8), (7, 9)),
-    ((4, 11), (5, 10), (6, 9), (7, 8)),
-)
-
-_CLASS7: tuple[frozenset[int], ...] = tuple(
-    frozenset(c)
-    for c in (
-        (1, 2, 3, 4, 5, 6, 7),
-        (1, 2, 3, 8, 9, 10, 11),
-        (1, 2, 3, 12, 13, 14, 15),
-        (1, 4, 5, 8, 9, 12, 13),
-        (1, 4, 5, 10, 11, 14, 15),
-        (1, 6, 7, 8, 9, 14, 15),
-        (1, 6, 7, 10, 11, 12, 13),
-        (2, 4, 6, 8, 10, 12, 14),
-        (2, 4, 6, 9, 11, 13, 15),
-        (2, 5, 7, 8, 10, 13, 15),
-        (2, 5, 7, 9, 11, 12, 14),
-        (3, 4, 7, 8, 11, 12, 15),
-        (3, 4, 7, 9, 10, 13, 14),
-        (3, 5, 6, 8, 11, 13, 14),
-        (3, 5, 6, 9, 10, 12, 15),
-    )
-)
-
-_CLASS8: tuple[frozenset[int], ...] = tuple(
-    frozenset(c)
-    for c in (
-        (8, 9, 10, 11, 12, 13, 14, 15),
-        (4, 5, 6, 7, 12, 13, 14, 15),
-        (4, 5, 6, 7, 8, 9, 10, 11),
-        (2, 3, 6, 7, 10, 11, 14, 15),
-        (2, 3, 6, 7, 8, 9, 12, 13),
-        (2, 3, 4, 5, 10, 11, 12, 13),
-        (2, 3, 4, 5, 8, 9, 14, 15),
-        (1, 3, 5, 7, 9, 11, 13, 15),
-        (1, 3, 5, 7, 8, 10, 12, 14),
-        (1, 3, 4, 6, 9, 11, 12, 14),
-        (1, 3, 4, 6, 8, 10, 13, 15),
-        (1, 2, 5, 6, 9, 10, 13, 14),
-        (1, 2, 5, 6, 8, 11, 12, 15),
-        (1, 2, 4, 7, 9, 10, 12, 15),
-        (1, 2, 4, 7, 8, 11, 13, 14),
-    )
-)
 
 
 @dataclass(frozen=True)
@@ -132,15 +58,8 @@ class Dim4Tables:
         }
 
 
-def class_masks(tables: Dim4Tables) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bitmask views of the index classes (bit i set for index i)."""
-    m7 = tuple(sum(1 << i for i in c) for c in tables.class7)
-    m8 = tuple(sum(1 << i for i in c) for c in tables.class8)
-    return m7, m8
-
-
 def validate_tables(tables: Dim4Tables) -> None:
-    """Structural checks on the constant data; raises on any corruption."""
+    """Structural checks on the derived tables; raises on any corruption."""
     full = frozenset(range(1, 16))
     for s in range(1, 16):
         c7 = tables.index_class(s, 1)
@@ -195,13 +114,40 @@ def verify_sigma_symmetry(tables: Dim4Tables) -> dict[tuple[int, int], int] | No
     return witness
 
 
+def _rev4(s: int) -> int:
+    return int(f"{s:04b}"[::-1], 2)
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(1, 16) if mask >> i & 1)
+
+
+def _pair_families(s: int) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
+    """The pairs (x, x ^ s), x the member without s's top bit t, by
+    ascending x; a pair is small when x also lacks the highest other bit."""
+    t = s.bit_length() - 1
+    u = 2 if t == 3 else 3
+    pairs = [(x, x ^ s) for x in range(1, 16) if not x >> t & 1]
+    return (
+        tuple(p for p in pairs if not p[0] >> u & 1),
+        tuple(p for p in pairs if p[0] >> u & 1),
+    )
+
+
+# Bit i set for index i; the 8-class of split s is CLASS8_MASKS[s - 1].
+CLASS8_MASKS: tuple[int, ...] = tuple(
+    sum(1 << i for i in range(1, 16) if (i & _rev4(s)).bit_count() & 1)
+    for s in range(1, 16)
+)
+CLASS7_MASKS: tuple[int, ...] = tuple(0xFFFE ^ m for m in CLASS8_MASKS)
+
+_FAMILIES = [_pair_families(s) for s in range(1, 16)]
+
 DIM4_TABLES = Dim4Tables(
-    pairs_small=_PAIRS_SMALL,
-    pairs_large=_PAIRS_LARGE,
-    class7=_CLASS7,
-    class8=_CLASS8,
+    pairs_small=tuple(small for small, _ in _FAMILIES),
+    pairs_large=tuple(large for _, large in _FAMILIES),
+    class7=tuple(map(_members, CLASS7_MASKS)),
+    class8=tuple(map(_members, CLASS8_MASKS)),
 )
 
 validate_tables(DIM4_TABLES)
-
-CLASS7_MASKS, CLASS8_MASKS = class_masks(DIM4_TABLES)

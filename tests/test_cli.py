@@ -1,6 +1,8 @@
 """Command-line behaviors: outputs, exit codes, round trips."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -36,6 +38,17 @@ def test_check_parse_error(tmp_path, capsys):
     p = tmp_path / "empty.txt"
     p.write_text("# nothing\n")
     assert main(["check", str(p)]) == 2
+
+
+def test_check_tall_matrix_capped(tmp_path, capsys):
+    # the column profile would need 2**40 counts: refused before allocating
+    rng = random.Random(40)
+    p = tmp_path / "tall.txt"
+    p.write_text("".join(f"{rng.getrandbits(40):040b}\n" for _ in range(40)))
+    assert main(["check", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k <= 24" in captured.err
 
 
 def test_check_missing_file(capsys):
@@ -153,6 +166,25 @@ def test_oracle_random(capsys):
     assert "best distance found: 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "n, k", [("10", "0"), ("10", "-1"), ("-3", "3")]
+)
+def test_oracle_random_domain(n, k, capsys):
+    args = ["oracle", "random", "--n", n, "--k", k, "--trials", "5", "--seed", "1"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k >= 1 and n >= 0" in captured.err
+
+
+@pytest.mark.parametrize("n, k", [("10", "0"), ("-5", "3"), ("2", "3")])
+def test_build_domain(n, k, capsys):
+    assert main(["build", "--n", n, "--k", k]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 <= k <= n" in captured.err
+
+
 def test_verify_examples(capsys):
     assert main(["verify-examples"]) == 0
     out = capsys.readouterr().out
@@ -171,3 +203,13 @@ def test_tables_dump(capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data["classes"]) == 15
     assert data["classes"][14]["eight"] == [1, 2, 4, 7, 8, 11, 13, 14]
+
+
+# sha256 of `so-embed tables --dump` when the tables were written out by hand
+TABLES_DUMP_SHA256 = "cbf56f6fc25ed80cdcf1d0ab9ef63932229585170ee5dc70826a8d29a8090467"
+
+
+def test_tables_dump_pinned(capsys):
+    assert main(["tables", "--dump"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TABLES_DUMP_SHA256

@@ -4,9 +4,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soembed.embedding import (
+    TIE4_INTERSECT,
     EmbedPolicy,
+    _dim4_projected_counts,
     embed,
     embed_dim2,
     embed_dim3,
@@ -31,6 +35,9 @@ from soembed.gf2 import (
     weight_distribution,
 )
 from soembed import golden
+from soembed.oracle import matrix_from_profile
+from soembed.profiles import ColumnProfile, column_profile
+from soembed.tables import CLASS7_MASKS, CLASS8_MASKS
 
 MAX_ADDED = {1: 1, 2: 3, 3: 3, 4: 5, 5: 7}
 
@@ -203,3 +210,81 @@ def test_random_matrices_with_zero_columns():
         zeroed = horizontal_join(m, [(0,) * k] * rng.randint(1, 3))
         rep = embed(zeroed, allow_rank_deficient=True)
         assert gram(rep.output).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the flip masks against the one-index-at-a-time loops they replaced
+
+
+def ref_dim2_added(odd):
+    return tuple((2, i) for i in (1, 2, 3) if odd >> i & 1)
+
+
+def ref_dim3_added(odd):
+    full = 0b11111110  # indices 1..7
+    added = []
+    while odd and odd != full:
+        even = full ^ odd
+        smaller = even if even.bit_count() < odd.bit_count() else odd
+        i0 = (smaller & -smaller).bit_length() - 1
+        added.append((3, i0))
+        odd ^= 1 << i0
+    return tuple(added)
+
+
+def ref_dim4_added(odd, s0, tie4):
+    added = []
+    mask7 = CLASS7_MASKS[s0 - 1]
+    mask8 = CLASS8_MASKS[s0 - 1]
+    while True:
+        inter = odd & mask7
+        work = inter if inter.bit_count() < 4 else inter ^ mask7
+        if not work:
+            break
+        i0 = (work & -work).bit_length() - 1
+        added.append((4, i0))
+        odd ^= 1 << i0
+    while True:
+        inter = odd & mask8
+        c = inter.bit_count()
+        if c < 4 or (c == 4 and tie4 == TIE4_INTERSECT):
+            work = inter
+        else:
+            work = inter ^ mask8
+        if not work:
+            break
+        i0 = (work & -work).bit_length() - 1
+        added.append((4, i0))
+        odd ^= 1 << i0
+    return tuple(added)
+
+
+@st.composite
+def low_dim_profiles(draw):
+    k = draw(st.integers(2, 4))
+    ncols = (1 << k) - 1
+    ell = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    return ColumnProfile(k, tuple(ell), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_dim_profiles())
+def test_flip_masks_match_reference_loops(prof):
+    m = matrix_from_profile(prof)
+    odd = column_profile(m).parity_mask()
+    if prof.k == 2:
+        assert embed_dim2(m).added == ref_dim2_added(odd)
+        return
+    if prof.k == 3:
+        assert embed_dim3(m).added == ref_dim3_added(odd)
+        return
+    totals = _dim4_projected_counts(odd)
+    best = min(totals)
+    assert embed_dim4(m).added == ref_dim4_added(
+        odd, totals.index(best) + 1, TIE4_INTERSECT
+    )
+    for s0 in (s + 1 for s, tot in enumerate(totals) if tot == best):
+        for tie4 in ("intersect", "difference"):
+            rep = embed_dim4(m, EmbedPolicy(s0=s0, tie4=tie4))
+            assert rep.added == ref_dim4_added(odd, s0, tie4)
+            assert gram(rep.output).is_zero()

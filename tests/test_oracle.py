@@ -22,6 +22,7 @@ from soembed.gf2 import (
 from soembed.oracle import (
     _coset_leaders,
     _gram_mask,
+    _so_parity_masks,
     _sym_mask,
     enumerate_codes_by_profile,
     enumerate_codes_naive,
@@ -31,6 +32,7 @@ from soembed.oracle import (
     verify_claims_prop414,
 )
 from soembed.embedding import _dim4_projected_counts
+from soembed.profiles import _is_so_odd_mask
 
 
 def test_min_embedding_examples():
@@ -181,6 +183,14 @@ def test_enumerate_matches_naive():
     fast = enumerate_codes_by_profile(8, 4, True)
     naive = enumerate_codes_naive(8, 4, True)
     assert fast.distance == naive.distance
+
+
+@pytest.mark.parametrize("k, count", [(1, 1), (2, 1), (3, 2), (4, 32)])
+def test_so_parity_masks_match_scan(k, count):
+    # every parity mask over indices 1 .. 2**k - 1 (bit 0 stays clear)
+    scan = [m for m in range(0, 1 << (1 << k), 2) if _is_so_odd_mask(k, m)]
+    assert list(_so_parity_masks(k)) == scan
+    assert len(scan) == count
 
 
 def test_enumerate_caps():
