@@ -26,11 +26,8 @@ from soembed.gf2 import (  # noqa: E402
     rank,
     simplex_matrix,
 )
-from soembed.oracle import (  # noqa: E402
-    matrix_from_profile,
-    random_so_profile_search,
-    targeted_profile,
-)
+from soembed.oracle import random_so_profile_search, targeted_profile  # noqa: E402
+from soembed.profiles import matrix_from_profile  # noqa: E402
 
 OUT_ROOT = Path(__file__).resolve().parents[1] / "src" / "soembed" / "data" / "seeds"
 

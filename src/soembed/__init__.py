@@ -68,7 +68,6 @@ from .oracle import (
     Claims414,
     EnumerationResult,
     enumerate_codes_by_profile,
-    matrix_from_profile,
     min_embedding_oracle,
     random_so_search,
     verify_claims_prop414,
@@ -85,6 +84,7 @@ from .profiles import (
     is_so_dim3,
     is_so_dim4,
     is_so_profile,
+    matrix_from_profile,
     parity_sets,
     verify_sigma_symmetry,
 )

@@ -1,10 +1,11 @@
 """Shortest self-orthogonal embeddings by column appending.
 
-Dimensions 2..4 use the parity characterizations to append the provably
+Dimensions 1..4 use the parity characterizations to append the provably
 minimal number of columns; dimension 5 and up peel rows that can be made
 orthogonal to everything, reduce to the dimension-4 case, and reinsert the
-peeled rows zero-padded.  Appended columns are always of the form
-h_column(k', i) for the row count k' in effect at that step.
+peeled rows zero-padded.  The peel reads only the Gram matrix.  Appended
+columns are always of the form h_column(k', i) for the row count k' in
+effect at that step.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidPolicyError, RankDeficientError, WrongDimensionError
-from .gf2 import BinaryMatrix, _row_ip, gram, h_column, horizontal_join, rank
-from .profiles import column_index, column_profile
+from .gf2 import BinaryMatrix, gram, h_column, horizontal_join, rank
+from .profiles import column_profile
 from .tables import CLASS7_MASKS, CLASS8_MASKS
 
 TIE4_INTERSECT = "intersect"
@@ -104,8 +105,9 @@ def _flip_report(
 
 
 def embed_dim2(g: BinaryMatrix) -> EmbedReport:
-    """Append h_i once for each of i = 1, 2, 3 with odd multiplicity."""
-    _require_k(g, 2)
+    """Append h_i once for each index i with odd multiplicity (k = 1 or 2)."""
+    if g.k > 2:
+        _require_k(g, 2)
     return _flip_report(g, (column_profile(g).parity_mask(),))
 
 
@@ -160,48 +162,44 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
 def embed_recursive(g: BinaryMatrix) -> EmbedReport:
     """Peel rows down to dimension 4, embed there, reinsert zero-padded rows.
 
-    At each level the first row orthogonal to all rows (itself included) is
-    set aside unchanged.  Failing that, a row with odd self-product gets one
-    correction column; if all self-products are even, the first row gets two.
+    The peel reads only the Gram matrix, computed once: appending a column c
+    adds c c^T to it.  At each level the first row orthogonal to all rows
+    (itself included) is set aside unchanged.  Failing that, a row with odd
+    self-product gets one correction column, its Gram column; if all
+    self-products are even, the first row gets two.
     """
     if g.k < 5:
         raise WrongDimensionError(f"matrix has {g.k} rows, need >= 5")
-    cur = g
+    # Bit j of grams[i] is <row i, row j>.  A peeled row is orthogonal to
+    # every row left, so no row left has a Gram bit at a peeled position.
+    grams = list(gram(g).rows)
+    rows = list(g.rows)
+    live = list(range(g.k))  # the rows not yet peeled, in order
+    n = g.n
     added: list[tuple[int, int]] = []
-    peeled: list[tuple[int, int]] = []  # (row position, row bits)
-    while cur.k > 4:
-        k = cur.k
-        rows = cur.rows
-        j0 = next(
-            (
-                i
-                for i in range(k)
-                if all(_row_ip(rows[i], rows[j]) == 0 for j in range(k))
-            ),
-            None,
-        )
+    while len(live) > 4:
+        j0 = next((i for i in live if not grams[i]), None)
         if j0 is None:
-            j0 = next((i for i in range(k) if _row_ip(rows[i], rows[i])), None)
+            j0 = next((i for i in live if grams[i] >> i & 1), None)
             if j0 is not None:
-                col = tuple(_row_ip(rows[i], rows[j0]) for i in range(k))
-                cur = horizontal_join(cur, [col])
-                added.append((k, column_index(col)))
+                cols = [grams[j0]]
             else:
-                j0 = 0
-                y = tuple(_row_ip(rows[i], rows[0]) for i in range(k))
-                col1 = (1,) + y[1:]
-                col2 = (1,) + (0,) * (k - 1)
-                cur = horizontal_join(cur, [col1, col2])
-                added.append((k, column_index(col1)))
-                added.append((k, column_index(col2)))
-        peeled.append((j0, cur.rows[j0]))
-        cur = cur.delete_row(j0)
-    rep4 = embed_dim4(cur, DEFAULT_POLICY)
+                j0 = live[0]
+                cols = [grams[j0] | 1 << j0, 1 << j0]
+            for c in cols:
+                index = int("".join("01"[c >> i & 1] for i in live), 2)
+                added.append((len(live), index))
+                for i in live:
+                    if c >> i & 1:
+                        grams[i] ^= c
+                        rows[i] |= 1 << n
+                n += 1
+        live.remove(j0)
+    rep4 = embed_dim4(BinaryMatrix(4, n, tuple(rows[i] for i in live)))
     added.extend(rep4.added)
-    out_rows = list(rep4.output.rows)
-    for pos, row in reversed(peeled):
-        out_rows.insert(pos, row)  # int rows are implicitly zero-padded
-    out = BinaryMatrix(g.k, rep4.output.n, tuple(out_rows))
+    for i, row in zip(live, rep4.output.rows):
+        rows[i] = row  # peeled rows stay zero-padded: ints need no padding
+    out = BinaryMatrix(g.k, rep4.output.n, tuple(rows))
     return EmbedReport(input=g, added=tuple(added), output=out)
 
 
@@ -216,9 +214,7 @@ def embed(
         raise RankDeficientError(
             f"rank {rank(g)} < {g.k}; pass allow_rank_deficient=True to force"
         )
-    if g.k == 1:
-        rep = _flip_report(g, ((g.rows[0].bit_count() & 1) << 1,))
-    elif g.k == 2:
+    if g.k <= 2:
         rep = embed_dim2(g)
     elif g.k == 3:
         rep = embed_dim3(g)

@@ -7,7 +7,9 @@ distances from exhaustive search over column-multiplicity profiles (which
 determine a code up to column permutation).  The self-orthogonal parity
 patterns that search may use are the kernel of the map sending an index
 set to the XOR of its columns' outer products, found by elimination, not
-read from the dimension-4 split tables.
+read from the dimension-4 split tables.  The column-multiset algebra they
+run on (weights, Gram syndromes, parity kernel) lives in
+:mod:`soembed.profiles`.
 """
 
 from __future__ import annotations
@@ -20,16 +22,20 @@ from functools import lru_cache
 
 from .embedding import _dim4_projected_counts, embed
 from .errors import CapExceededError, DomainError, NoSOCodeError
-from .gf2 import (
-    BinaryMatrix,
-    _row_ip,
-    gram,
-    h_column,
-    horizontal_join,
-    rank,
-    random_matrix,
+from .gf2 import BinaryMatrix, gram, rank, random_matrix
+from .profiles import (
+    ColumnProfile,
+    _add_column,
+    _column_counts,
+    _gram_mask,
+    _hit_masks,
+    _hit_vectors,
+    _is_so_odd_mask,
+    _parity_kernel_basis,
+    _profile_weights,
+    _so_parity_masks,
+    _sym_masks,
 )
-from .profiles import ColumnProfile, _is_so_odd_mask, _pair_mask, column_profile
 from .tables import CLASS7_MASKS, CLASS8_MASKS
 
 PROFILE_SPACE_CAP = 10**8
@@ -39,40 +45,6 @@ ORACLE_ADD_CAP = 8
 
 # ---------------------------------------------------------------------------
 # minimal embedding search
-
-
-def _sym_mask(col_bits: int, k: int) -> int:
-    """Pack the outer product of a column with itself into an int.
-
-    Bit positions enumerate the pairs (i, j), i <= j, of a symmetric k x k
-    bit matrix.  XOR of these masks tracks how appended columns change the
-    Gram matrix.
-    """
-    acc = 0
-    pos = 0
-    for i in range(k):
-        bi = (col_bits >> (k - 1 - i)) & 1
-        for j in range(i, k):
-            bj = (col_bits >> (k - 1 - j)) & 1
-            acc |= (bi & bj) << pos
-            pos += 1
-    return acc
-
-
-def _gram_mask(m: BinaryMatrix) -> int:
-    acc = 0
-    pos = 0
-    for i in range(m.k):
-        for j in range(i, m.k):
-            acc |= _row_ip(m.rows[i], m.rows[j]) << pos
-            pos += 1
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _sym_masks(k: int) -> tuple[int, ...]:
-    """_sym_mask(i, k) for each column index i = 0 .. 2**k - 1, once per k."""
-    return tuple(_sym_mask(i, k) for i in range(1 << k))
 
 
 def min_embedding_oracle(
@@ -124,44 +96,22 @@ def min_embedding_oracle(
 # exhaustive optimal distances from profiles
 
 
-@lru_cache(maxsize=None)
-def _hit_masks(k: int) -> tuple[int, ...]:
-    """hit[i] has bit x set iff column index i contributes to message x."""
-    ncols = (1 << k) - 1
-    out = [0] * (ncols + 1)
-    for i in range(1, ncols + 1):
-        acc = 0
-        for x in range(1, ncols + 1):
-            if (x & i).bit_count() & 1:
-                acc |= 1 << x
-        out[i] = acc
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _so_parity_masks(k: int) -> tuple[int, ...]:
-    """All multiplicity-parity vectors (bit i = parity of ell_i) that give
-    a self-orthogonal code: the span of the parity kernel, ascending."""
-    span = [0]
-    for b in _parity_kernel_basis(k):
-        span += [m ^ b for m in span]
-    return tuple(sorted(span))
-
-
 def _feasible(
     d: int,
     budget: int,
     step: int,
     base_t: list[int],
-    hits: tuple[int, ...],
-    half: int,
+    k: int,
 ) -> list[int] | None:
     """Search for per-index unit counts making every message weight >= d.
 
-    Unit counts add `step` copies of their column; base_t carries weights
-    already forced (by parity choices).  Returns the unit vector indexed
-    1.. or None.
+    Unit counts add `step` copies of their column of dimension k; base_t
+    carries weights already forced (by parity choices).  Returns the unit
+    vector indexed 1.. or None.
     """
+    hits = _hit_masks(k)
+    vecs = _hit_vectors(k)
+    half = 1 << (k - 1)
     ncols = len(hits) - 1
     coverage = [0] * (ncols + 2)
     for i in range(1, ncols + 1):
@@ -169,7 +119,7 @@ def _feasible(
     failed: set[tuple[int, int, int]] = set()
     width = d.bit_length()
 
-    def walk(i: int, rem: int, t: tuple[int, ...]) -> list[int] | None:
+    def walk(i: int, rem: int, t: list[int]) -> list[int] | None:
         deficit = 0
         worst = 0
         needed_mask = 0
@@ -194,13 +144,9 @@ def _feasible(
         key = (i, rem, capped)
         if key in failed:
             return None
-        hit = hits[i]
         for v in range(rem + 1):
             if v:
-                t = tuple(
-                    t[x] + step if (hit >> x) & 1 else t[x]
-                    for x in range(ncols + 1)
-                )
+                t = _add_column(t, vecs[i], step)
             sub = walk(i - 1, rem - v, t)
             if sub is not None:
                 sub.append(v)
@@ -208,8 +154,7 @@ def _feasible(
         failed.add(key)
         return None
 
-    units = walk(ncols, budget, tuple(base_t))
-    return units
+    return walk(ncols, budget, base_t)
 
 
 @dataclass(frozen=True)
@@ -234,12 +179,10 @@ def enumerate_codes_by_profile(
     ncols = (1 << k) - 1
     if math.comb(n + ncols, ncols) > PROFILE_SPACE_CAP:
         raise CapExceededError("profile space exceeds the enumeration cap")
-    hits = _hit_masks(k)
-    half = 1 << (k - 1)
     parities = _so_parity_masks(k) if so_only else None
-    d_hi = min(n, (half * n) // ncols)
+    d_hi = min(n, (n << (k - 1)) // ncols)
     for d in range(d_hi, 0, -1):
-        witness = _search_profile(n, k, d, hits, half, parities)
+        witness = _search_profile(n, k, d, parities)
         if witness is not None:
             return EnumerationResult(d, witness)
     kind = "self-orthogonal " if so_only else ""
@@ -247,21 +190,13 @@ def enumerate_codes_by_profile(
 
 
 def _search_profile(
-    n: int,
-    k: int,
-    d: int,
-    hits: tuple[int, ...],
-    half: int,
-    parities: tuple[int, ...] | None,
+    n: int, k: int, d: int, parities: tuple[int, ...] | None
 ) -> ColumnProfile | None:
     """One feasibility level of the enumeration: any profile with min
     weight >= d, or None."""
     ncols = (1 << k) - 1
     if parities is None:
-        units = _feasible(d, n, 1, [0] * (ncols + 1), hits, half)
-        if units is None:
-            return None
-        ell = units
+        ell = _feasible(d, n, 1, [0] * (ncols + 1), k)
     else:
         ell = None
         for bmask in parities:
@@ -269,15 +204,14 @@ def _search_profile(
             if nbase > n:
                 continue
             bits = [bmask >> i & 1 for i in range(ncols + 1)]
-            base_t = _profile_weights(bits, hits, ncols)
-            units = _feasible(d, (n - nbase) // 2, 2, base_t, hits, half)
+            base_t = _profile_weights(k, bits)
+            units = _feasible(d, (n - nbase) // 2, 2, base_t, k)
             if units is not None:
                 ell = [b + 2 * u for b, u in zip(bits[1:], units)]
                 break
-        if ell is None:
-            return None
-    used = sum(ell)
-    return ColumnProfile(k, tuple(ell), n - used)
+    if ell is None:
+        return None
+    return ColumnProfile(k, tuple(ell), n - sum(ell))
 
 
 def targeted_profile(n: int, k: int, d: int, so_only: bool) -> ColumnProfile | None:
@@ -288,19 +222,7 @@ def targeted_profile(n: int, k: int, d: int, so_only: bool) -> ColumnProfile | N
     """
     if not 1 <= k <= 4:
         raise DomainError("profile search supports k <= 4")
-    hits = _hit_masks(k)
-    parities = _so_parity_masks(k) if so_only else None
-    return _search_profile(n, k, d, hits, 1 << (k - 1), parities)
-
-
-def matrix_from_profile(p: ColumnProfile) -> BinaryMatrix:
-    """A matrix realizing a profile: columns ascending by index, zeros last."""
-    cols = []
-    for i in range(1, (1 << p.k)):
-        cols.extend([h_column(p.k, i)] * p.count(i))
-    cols.extend([(0,) * p.k] * p.zero_count)
-    base = BinaryMatrix(p.k, 0, (0,) * p.k)
-    return horizontal_join(base, cols)
+    return _search_profile(n, k, d, _so_parity_masks(k) if so_only else None)
 
 
 def enumerate_codes_naive(
@@ -310,29 +232,14 @@ def enumerate_codes_naive(
 
     Only usable for small spaces; cross-checks the pruned search.
     """
-    ncols = (1 << k) - 1
-    hits = _hit_masks(k)
-    pairs = [
-        _pair_mask(k, j, j2)
-        for j in range(1, k + 1)
-        for j2 in range(j, k + 1)
-    ]
     best: tuple[int, ColumnProfile] | None = None
-    for ell in _compositions_at_most(n, ncols):
-        t = [0] * (ncols + 1)
-        for i, c in enumerate(ell, start=1):
-            if c:
-                for x in range(1, ncols + 1):
-                    if (hits[i] >> x) & 1:
-                        t[x] += c
-        dmin = min(t[1:])
+    for ell in _compositions_at_most(n, (1 << k) - 1):
+        dmin = min(_profile_weights(k, (0, *ell))[1:])
         if dmin == 0:
             continue
-        prof = ColumnProfile(k, tuple(ell), n - sum(ell))
-        if so_only:
-            odd = prof.parity_mask()
-            if any((odd & pm).bit_count() & 1 for pm in pairs):
-                continue
+        prof = ColumnProfile(k, ell, n - sum(ell))
+        if so_only and not _is_so_odd_mask(k, prof.parity_mask()):
+            continue
         if best is None or dmin > best[0]:
             best = (dmin, prof)
     if best is None:
@@ -394,31 +301,6 @@ def verify_claims_prop414() -> Claims414:
 # randomized search for good self-orthogonal codes
 
 
-def _parity_kernel_basis(k: int) -> list[int]:
-    """Index sets (as bitmasks) whose columns' outer products cancel.
-
-    Flipping the multiplicity parity on such a set preserves the Gram
-    matrix, so these are the self-orthogonality-preserving parity moves.
-    """
-    vecs = [(sm, 1 << i) for i, sm in enumerate(_sym_masks(k)) if i]
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for val, tag in vecs:
-        v, t = val, tag
-        while v:
-            p = v.bit_length() - 1
-            if p in pivots:
-                pv, pt = pivots[p]
-                v ^= pv
-                t ^= pt
-            else:
-                pivots[p] = (v, t)
-                break
-        else:
-            kernel.append(t)
-    return kernel
-
-
 @lru_cache(maxsize=None)
 def _coset_leaders(k: int) -> tuple[int, ...]:
     """Per outer-product syndrome, a minimum set of parity flips fixing it.
@@ -445,18 +327,6 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
                     nxt.append(syn2)
         frontier = nxt
     return tuple(leaders)
-
-
-def _profile_weights(ell: list[int], hits: tuple[int, ...], ncols: int) -> list[int]:
-    t = [0] * (ncols + 1)
-    for i in range(1, ncols + 1):
-        c = ell[i]
-        if c:
-            h = hits[i]
-            for x in range(1, ncols + 1):
-                if (h >> x) & 1:
-                    t[x] += c
-    return t
 
 
 def random_so_search(
@@ -492,11 +362,13 @@ def random_so_profile_search(
     """random_so_search plus the witness profile of the best sample."""
     if k < 1 or n < 0:
         raise DomainError("random search needs k >= 1 and n >= 0")
+    if trials < 1:
+        raise DomainError("random search needs trials >= 1")
     if k > 8:
         raise CapExceededError("random search supports k <= 8")
     rng = random.Random(rng_seed)
     ncols = (1 << k) - 1
-    hits = _hit_masks(k)
+    vecs = _hit_vectors(k)
     kernel = _parity_kernel_basis(k)
     sym_masks = _sym_masks(k)
     leaders = _coset_leaders(k) if k <= 5 else None
@@ -512,17 +384,12 @@ def random_so_profile_search(
         for _ in range(max(n - reserve, 0)):
             options = []
             for i in range(1, ncols + 1):
-                h = hits[i]
-                worst = min(
-                    t[x] + ((h >> x) & 1) for x in range(1, ncols + 1)
-                )
+                h = vecs[i]
+                worst = min(t[x] + h[x] for x in range(1, ncols + 1))
                 options.append((worst, rng.random(), i))
             _, _, pick = max(options)
             ell[pick] += 1
-            h = hits[pick]
-            for x in range(1, ncols + 1):
-                if (h >> x) & 1:
-                    t[x] += 1
+            t = _add_column(t, vecs[pick], 1)
         syn = 0
         for i in range(1, ncols + 1):
             if ell[i] & 1:
@@ -551,7 +418,7 @@ def random_so_profile_search(
 
     def climb(ell: list[int]) -> int:
         ell[0] = n - sum(ell[1:])
-        t = _profile_weights(ell, hits, ncols)
+        t = _profile_weights(k, ell)
         cur = score_of(t)
         stalls = 0
         for _ in range(60 * ncols):
@@ -560,21 +427,15 @@ def random_so_profile_search(
             worst = t[1:].index(cur[0]) + 1
             # move a duplicate pair onto a column covering the worst message
             donors = [i for i in range(ncols + 1) if ell[i] >= 2]
-            receivers = [
-                i for i in range(1, ncols + 1) if (hits[i] >> worst) & 1
-            ]
+            receivers = [i for i in range(1, ncols + 1) if vecs[i][worst]]
             rng.shuffle(donors)
             rng.shuffle(receivers)
             moved = False
             for a in donors:
-                ha = hits[a] if a else 0
                 for b in receivers:
                     if a == b:
                         continue
-                    t2 = [
-                        t[x] + 2 * (((hits[b] >> x) & 1) - ((ha >> x) & 1))
-                        for x in range(ncols + 1)
-                    ]
+                    t2 = _add_column(_add_column(t, vecs[b], 2), vecs[a], -2)
                     if score_of(t2) > cur:
                         ell[a] -= 2
                         ell[b] += 2
@@ -599,7 +460,7 @@ def random_so_profile_search(
                         trial[i] += 1
                 trial[0] = n - sum(trial[1:])
                 if trial[0] >= 0:
-                    t2 = _profile_weights(trial, hits, ncols)
+                    t2 = _profile_weights(k, trial)
                     if score_of(t2) >= cur:
                         ell[:] = trial
                         t, cur = t2, score_of(t2)
@@ -618,8 +479,7 @@ def random_so_profile_search(
         if mode < 0.1:
             cand = random_matrix(rng, k, n)
             if gram(cand).is_zero() and rank(cand) == k:
-                prof = column_profile(cand)
-                ell = [prof.zero_count, *prof.ell]
+                ell = _column_counts(cand)
         elif mode < 0.3 and n >= ncols and k >= 3:
             # simplex juxtaposition start, remainder as random pairs
             ell = [0] + [1] * ncols
@@ -636,8 +496,7 @@ def random_so_profile_search(
             rep = embed(base, allow_rank_deficient=True)
             fill = n - rep.output.n
             if fill >= 0 and fill % 2 == 0 and rank(rep.output) == k:
-                prof = column_profile(rep.output)
-                ell = [prof.zero_count, *prof.ell]
+                ell = _column_counts(rep.output)
                 for _ in range(fill // 2):
                     ell[rng.randrange(1, ncols + 1)] += 2
         if ell is None:

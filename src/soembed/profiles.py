@@ -6,14 +6,29 @@ profile alone: in general as evenness of all pairwise column-intersection
 counts, and in dimensions 2..4 as parity-constancy conditions on the
 multiplicities (dimension 4 uses the 15 index-class splits of
 :mod:`soembed.tables`, the hyperplanes of F_2^4).
+
+This module is also the one home of the column-multiset algebra that the
+oracles, the embeddings and the seed generator share: the codeword weights
+of a multiset of columns, the Gram matrix packed as a syndrome with one
+outer product per column, and the kernel of self-orthogonal parity
+patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import CapExceededError, IndexOutOfRangeError, WrongDimensionError
-from .gf2 import BinaryMatrix, _index_bit_mask, _row_ip, gram
+from .gf2 import (
+    BinaryMatrix,
+    _index_bit_mask,
+    _row_ip,
+    gram,
+    h_column,
+    horizontal_join,
+)
 from .tables import CLASS7_MASKS, CLASS8_MASKS, DIM4_TABLES, Dim4Tables
 from .tables import verify_sigma_symmetry  # noqa: F401  (re-exported API)
 
@@ -75,7 +90,14 @@ def column_index(col: tuple[int, ...] | list[int]) -> int:
 
 
 def column_profile(m: BinaryMatrix) -> ColumnProfile:
-    """Count each nonzero column pattern of m; zero columns counted apart.
+    """Count each nonzero column pattern of m; zero columns counted apart."""
+    counts = _column_counts(m)
+    zero_count = counts.pop(0)  # in place: a slice would be a third 2**k list
+    return ColumnProfile(m.k, tuple(counts), zero_count)
+
+
+def _column_counts(m: BinaryMatrix) -> list[int]:
+    """counts[i] = number of columns of m with index i (i = 0: zero columns).
 
     The set of columns (an n-bit mask) is split by each row in turn into
     the columns with a 0 and those with a 1 there; after the last row each
@@ -99,8 +121,7 @@ def column_profile(m: BinaryMatrix) -> ColumnProfile:
             stack.append((pos + 1, idx << 1, zeros))
         if ones:
             stack.append((pos + 1, idx << 1 | 1, ones))
-    zero_count = counts.pop(0)  # in place: a slice would be a third 2**k list
-    return ColumnProfile(m.k, tuple(counts), zero_count)
+    return counts
 
 
 _BIT_MASK_CACHE: dict[int, tuple[int, ...]] = {}
@@ -235,6 +256,121 @@ def _so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the column-multiset algebra: a code as the multiplicities of its columns
+
+
+def matrix_from_profile(p: ColumnProfile) -> BinaryMatrix:
+    """A matrix realizing a profile: columns ascending by index, zeros last."""
+    cols = []
+    for i in range(1, (1 << p.k)):
+        cols.extend([h_column(p.k, i)] * p.count(i))
+    cols.extend([(0,) * p.k] * p.zero_count)
+    base = BinaryMatrix(p.k, 0, (0,) * p.k)
+    return horizontal_join(base, cols)
+
+
+@lru_cache(maxsize=None)
+def _hit_masks(k: int) -> tuple[int, ...]:
+    """hit[i] has bit x set iff column index i contributes to message x,
+    that is iff <x, i> is odd."""
+    return tuple(
+        sum(1 << x for x in range(1 << k) if (x & i).bit_count() & 1)
+        for i in range(1 << k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _hit_vectors(k: int) -> tuple[tuple[int, ...], ...]:
+    """_hit_masks(k) unpacked: hit[i][x] is bit x of hit mask i."""
+    return tuple(tuple(h >> x & 1 for x in range(1 << k)) for h in _hit_masks(k))
+
+
+def _add_column(t: Sequence[int], hit: Sequence[int], c: int) -> list[int]:
+    """Message weights t after c more copies of the column with hit vector hit."""
+    return [v + c * h for v, h in zip(t, hit)]
+
+
+def _profile_weights(k: int, counts: Sequence[int]) -> list[int]:
+    """Message weights t[x], x = 1 .. 2**k - 1, of the code with counts[i]
+    columns of index i; zero columns (counts[0]) weigh nothing, t[0] = 0."""
+    t = [0] * (1 << k)
+    for hit, c in zip(_hit_vectors(k), counts):
+        if c:
+            t = _add_column(t, hit, c)
+    return t
+
+
+def _sym_mask(col_bits: int, k: int) -> int:
+    """Pack the outer product of a column with itself into an int.
+
+    Bit positions enumerate the pairs (i, j), i <= j, of a symmetric k x k
+    bit matrix.  XOR of these masks tracks how appended columns change the
+    Gram matrix.
+    """
+    acc = 0
+    pos = 0
+    for i in range(k):
+        bi = (col_bits >> (k - 1 - i)) & 1
+        for j in range(i, k):
+            bj = (col_bits >> (k - 1 - j)) & 1
+            acc |= (bi & bj) << pos
+            pos += 1
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _sym_masks(k: int) -> tuple[int, ...]:
+    """_sym_mask(i, k) for each column index i = 0 .. 2**k - 1, once per k."""
+    return tuple(_sym_mask(i, k) for i in range(1 << k))
+
+
+def _gram_mask(m: BinaryMatrix) -> int:
+    """The Gram matrix of m packed like _sym_mask: the XOR of _sym_mask over
+    the indices of odd multiplicity."""
+    acc = 0
+    pos = 0
+    for i in range(m.k):
+        for j in range(i, m.k):
+            acc |= _row_ip(m.rows[i], m.rows[j]) << pos
+            pos += 1
+    return acc
+
+
+def _parity_kernel_basis(k: int) -> list[int]:
+    """Index sets (as bitmasks) whose columns' outer products cancel.
+
+    Flipping the multiplicity parity on such a set preserves the Gram
+    matrix, so these are the self-orthogonality-preserving parity moves.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i in range(1, 1 << k):
+        v, t = _sym_masks(k)[i], 1 << i
+        while v:
+            p = v.bit_length() - 1
+            if p in pivots:
+                pv, pt = pivots[p]
+                v ^= pv
+                t ^= pt
+            else:
+                pivots[p] = (v, t)
+                break
+        else:
+            kernel.append(t)
+    return kernel
+
+
+@lru_cache(maxsize=None)
+def _so_parity_masks(k: int) -> tuple[int, ...]:
+    """All multiplicity-parity vectors (bit i = parity of ell_i) that give
+    a self-orthogonal code: the span of the parity kernel, ascending."""
+    span = [0]
+    for b in _parity_kernel_basis(k):
+        span += [m ^ b for m in span]
+    return tuple(sorted(span))
+
+
 __all__ = [
     "ColumnProfile",
     "ParitySets",
@@ -248,6 +384,7 @@ __all__ = [
     "is_so_dim3",
     "is_so_dim4",
     "is_so_dim_check",
+    "matrix_from_profile",
     "parity_sets",
     "so_verdicts",
     "verify_sigma_symmetry",

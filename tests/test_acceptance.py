@@ -38,11 +38,16 @@ from soembed.gf2 import (
 )
 from soembed.oracle import (
     enumerate_codes_by_profile,
-    matrix_from_profile,
     min_embedding_oracle,
     verify_claims_prop414,
 )
-from soembed.profiles import ColumnProfile, column_profile, is_so_dim_check, is_so_profile
+from soembed.profiles import (
+    ColumnProfile,
+    column_profile,
+    is_so_dim_check,
+    is_so_profile,
+    matrix_from_profile,
+)
 
 
 @contextmanager
@@ -132,7 +137,7 @@ def test_criterion_3_shortest_embedding_matches_oracle():
 
 
 def test_criterion_4_length_bounds_and_output_quality():
-    limits = {2: 3, 3: 3, 4: 5, 5: 7}
+    limits = {2: 3, 3: 3, 4: 5, 5: 6}
     with criterion(4, "append-count bounds and output quality", 900.0):
         rng = random.Random(27182)
         for k, bound in limits.items():

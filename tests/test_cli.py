@@ -177,6 +177,14 @@ def test_oracle_random_domain(n, k, capsys):
     assert "k >= 1 and n >= 0" in captured.err
 
 
+def test_oracle_random_negative_trials(capsys):
+    args = ["oracle", "random", "--n", "5", "--k", "3", "--trials", "-4", "--seed", "1"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials >= 1" in captured.err
+
+
 @pytest.mark.parametrize("n, k", [("10", "0"), ("-5", "3"), ("2", "3")])
 def test_build_domain(n, k, capsys):
     assert main(["build", "--n", n, "--k", k]) == 3

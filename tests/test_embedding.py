@@ -24,6 +24,7 @@ from soembed.errors import (
 )
 from soembed.gf2 import (
     BinaryMatrix,
+    _row_ip,
     gram,
     horizontal_join,
     min_distance,
@@ -35,11 +36,17 @@ from soembed.gf2 import (
     weight_distribution,
 )
 from soembed import golden
-from soembed.oracle import matrix_from_profile
-from soembed.profiles import ColumnProfile, column_profile
+from soembed.oracle import _coset_leaders
+from soembed.profiles import (
+    ColumnProfile,
+    _gram_mask,
+    column_index,
+    column_profile,
+    matrix_from_profile,
+)
 from soembed.tables import CLASS7_MASKS, CLASS8_MASKS
 
-MAX_ADDED = {1: 1, 2: 3, 3: 3, 4: 5, 5: 7}
+MAX_ADDED = {1: 1, 2: 3, 3: 3, 4: 5, 5: 6}
 
 
 def test_golden_examples_all_pass():
@@ -288,3 +295,90 @@ def test_flip_masks_match_reference_loops(prof):
             rep = embed_dim4(m, EmbedPolicy(s0=s0, tie4=tie4))
             assert rep.added == ref_dim4_added(odd, s0, tie4)
             assert gram(rep.output).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Gram-matrix peel against the row-based peel it replaced
+
+
+def ref_embed_recursive(g):
+    """The row-based peel: every level re-derives the row products and
+    builds a new matrix by joining columns and deleting the peeled row."""
+    cur = g
+    added = []
+    peeled = []  # (row position, row bits)
+    while cur.k > 4:
+        k = cur.k
+        rows = cur.rows
+        j0 = next(
+            (
+                i
+                for i in range(k)
+                if all(_row_ip(rows[i], rows[j]) == 0 for j in range(k))
+            ),
+            None,
+        )
+        if j0 is None:
+            j0 = next((i for i in range(k) if _row_ip(rows[i], rows[i])), None)
+            if j0 is not None:
+                col = tuple(_row_ip(rows[i], rows[j0]) for i in range(k))
+                cur = horizontal_join(cur, [col])
+                added.append((k, column_index(col)))
+            else:
+                j0 = 0
+                y = tuple(_row_ip(rows[i], rows[0]) for i in range(k))
+                col1 = (1,) + y[1:]
+                col2 = (1,) + (0,) * (k - 1)
+                cur = horizontal_join(cur, [col1, col2])
+                added.append((k, column_index(col1)))
+                added.append((k, column_index(col2)))
+        peeled.append((j0, cur.rows[j0]))
+        cur = cur.delete_row(j0)
+    rep4 = embed_dim4(cur)
+    added.extend(rep4.added)
+    out_rows = list(rep4.output.rows)
+    for pos, row in reversed(peeled):
+        out_rows.insert(pos, row)
+    return tuple(added), BinaryMatrix(g.k, rep4.output.n, tuple(out_rows))
+
+
+@st.composite
+def peel_inputs(draw):
+    k = draw(st.integers(5, 10))
+    n = draw(st.integers(0, 40))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        # all self-products even: the first level appends two columns
+        rows = [r ^ (r.bit_count() & 1) for r in rows]
+    if draw(st.booleans()):
+        # a repeated row: rank deficient
+        rows[draw(st.integers(0, k - 1))] = rows[draw(st.integers(0, k - 1))]
+    m = BinaryMatrix(k, n, tuple(rows))
+    return horizontal_join(m, [(0,) * k] * draw(st.integers(0, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_inputs())
+def test_peel_matches_row_based_reference(m):
+    rep = embed_recursive(m)
+    assert (rep.added, rep.output) == ref_embed_recursive(m)
+
+
+def test_k5_peel_over_every_gram_matrix():
+    # The peel's column count depends only on the Gram matrix, so one
+    # realization of each of the 2**15 symmetric 5 x 5 matrices covers k = 5:
+    # the columns of a minimal syndrome decoding, whose size is the least
+    # number of columns any embedding needs.
+    h5 = simplex_matrix(5)
+    excess = Counter()
+    most = 0
+    for syndrome, leader in enumerate(_coset_leaders(5)):
+        m = BinaryMatrix(5, 31, tuple(r & leader >> 1 for r in h5.rows))
+        assert _gram_mask(m) == syndrome
+        need = leader.bit_count()
+        assert need <= 5
+        rep = embed_recursive(m)
+        excess[rep.added_count - need] += 1
+        most = max(most, rep.added_count)
+    assert most == MAX_ADDED[5]
+    assert excess == {0: 32768 - 1957, 1: 1957}

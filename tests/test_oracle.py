@@ -21,18 +21,20 @@ from soembed.gf2 import (
 )
 from soembed.oracle import (
     _coset_leaders,
-    _gram_mask,
-    _so_parity_masks,
-    _sym_mask,
     enumerate_codes_by_profile,
     enumerate_codes_naive,
-    matrix_from_profile,
     min_embedding_oracle,
     random_so_search,
     verify_claims_prop414,
 )
 from soembed.embedding import _dim4_projected_counts
-from soembed.profiles import _is_so_odd_mask
+from soembed.profiles import (
+    _gram_mask,
+    _is_so_odd_mask,
+    _so_parity_masks,
+    _sym_mask,
+    matrix_from_profile,
+)
 
 
 def test_min_embedding_examples():
@@ -220,6 +222,12 @@ def test_random_search_deterministic():
     a = random_so_search(12, 3, 50, rng_seed=5)
     b = random_so_search(12, 3, 50, rng_seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("trials", [0, -4])
+def test_random_search_needs_trials(trials):
+    with pytest.raises(DomainError):
+        random_so_search(5, 3, trials, rng_seed=1)
 
 
 def test_random_search_finds_small():

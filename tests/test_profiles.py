@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soembed.errors import WrongDimensionError
 from soembed.gf2 import (
@@ -16,6 +18,11 @@ from soembed.gf2 import (
 from soembed.profiles import (
     ColumnProfile,
     DIM4_TABLES,
+    _gram_mask,
+    _is_so_odd_mask,
+    _profile_weights,
+    _so_parity_masks,
+    _sym_masks,
     column_index,
     column_profile,
     intersection_parity,
@@ -24,6 +31,7 @@ from soembed.profiles import (
     is_so_dim4,
     is_so_dim_check,
     is_so_profile,
+    matrix_from_profile,
     parity_sets,
     verify_sigma_symmetry,
 )
@@ -183,3 +191,47 @@ def test_profile_invariance():
         before = is_so_dim_check(column_profile(m))
         assert is_so_dim_check(column_profile(padded)) == before
         assert column_profile(padded).zero_count == column_profile(m).zero_count + 1
+
+
+# ---------------------------------------------------------------------------
+# the column-multiset algebra against the matrix it describes
+
+
+@st.composite
+def small_profiles(draw):
+    k = draw(st.integers(1, 5))
+    ncols = (1 << k) - 1
+    ell = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    if draw(st.booleans()):
+        # move the parities onto a self-orthogonal pattern
+        odd = draw(st.sampled_from(_so_parity_masks(k)))
+        ell = [c & ~1 | odd >> i & 1 for i, c in enumerate(ell, start=1)]
+    return ColumnProfile(k, tuple(ell), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_profiles())
+def test_multiset_algebra_agrees_with_matrix(p):
+    k = p.k
+    m = matrix_from_profile(p)
+    assert column_profile(m) == p
+    t = _profile_weights(k, (p.zero_count, *p.ell))
+    assert t[0] == 0
+    for x in range(1, 1 << k):
+        word = 0
+        for r in range(k):  # message bit k - 1 - r selects row r
+            if x >> (k - 1 - r) & 1:
+                word ^= m.rows[r]
+        assert t[x] == word.bit_count()
+    odd = p.parity_mask()
+    syndrome = 0
+    for i in range(1, 1 << k):
+        if odd >> i & 1:
+            syndrome ^= _sym_masks(k)[i]
+    assert _gram_mask(m) == syndrome
+    # codewords x, y meet in (t[x] + t[y] - t[x ^ y]) / 2 positions
+    meets_evenly = all(
+        (t[x] + t[y] - t[x ^ y]) % 4 == 0 for x in range(1 << k) for y in range(1 << k)
+    )
+    assert _is_so_odd_mask(k, odd) == (syndrome == 0) == meets_evenly
+    assert meets_evenly == gram(m).is_zero()
