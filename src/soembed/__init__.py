@@ -14,8 +14,6 @@ from .constructions import (
 )
 from .distances import (
     DistanceValue,
-    ResidueSets,
-    RESIDUES,
     d_opt,
     dso_opt,
     griesmer_g,

@@ -14,18 +14,7 @@ from pathlib import Path
 
 from . import constructions, distances, golden, oracle, profiles
 from .embedding import EmbedPolicy, embed
-from .errors import (
-    CapExceededError,
-    DomainError,
-    InvalidPolicyError,
-    MatrixParseError,
-    MissingSeedError,
-    NoSOCodeError,
-    RankDeficientError,
-    SoEmbedError,
-    WrongDimensionError,
-    ZeroCodeError,
-)
+from .errors import MatrixParseError, MissingSeedError, NoSOCodeError, SoEmbedError
 from .gf2 import BinaryMatrix, min_distance, parse_matrix, rank
 from .tables import DIM4_TABLES
 
@@ -269,16 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        WrongDimensionError,
-        RankDeficientError,
-        InvalidPolicyError,
-        DomainError,
-        CapExceededError,
-        ZeroCodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (NoSOCodeError, MissingSeedError) as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_NEGATIVE

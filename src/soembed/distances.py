@@ -1,10 +1,13 @@
 """Optimal minimum distances for dimensions 1..5, in closed form.
 
 d_opt(n, k) gives the best minimum distance of any [n, k] binary linear
-code; dso_opt(n, k) the best over self-orthogonal codes.  Both are exact
+code; dso_opt(n, k) the best over self-orthogonal codes.  Every value has
+one form: the base 2**(k-1) * n // (2**k - 1), less a penalty of 0, 1 or 2
+read off n modulo a per-dimension period, apart from a few named lengths.
+One table per family holds the periods and penalties.  Both are exact
 everywhere they are known; the one genuinely open strip (dimension 5,
-lengths in the seven bad residue classes mod 31 past the classified range)
-is reported with status "conjectured" and never silently mixed in.
+lengths in the seven open residue classes mod 31 past the classified
+range) is reported with status "conjectured" and never silently mixed in.
 """
 
 from __future__ import annotations
@@ -38,67 +41,46 @@ class DistanceValue:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-@dataclass(frozen=True)
-class ResidueSets:
-    """Residue bookkeeping behind the dimension-4 and -5 formulas.
+# k -> (period, {n mod period: penalty}): the staircase (Griesmer) bound.
+_LINEAR = {
+    1: (1, {}),
+    2: (3, {}),
+    3: (7, {2: 1}),
+    4: (15, {2: 1, 3: 1, 4: 1, 6: 1, 10: 1}),
+    5: (31, {2: 1, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 1, 10: 1, 11: 1, 12: 1,
+             14: 1, 18: 1, 19: 1, 20: 1, 22: 1, 26: 1}),
+}
 
-    The dimension-5 linear sets adjust a pure residue family by the four
-    individual integers 8, 9, 12, 13 (not by their residue classes).
-    """
+# k -> (period, {n mod period: penalty}): the self-orthogonal optimum.
+_SO = {
+    1: (2, {1: 1}),
+    2: (6, {2: 1, 3: 2, 5: 1}),
+    3: (7, {2: 1, 3: 1, 4: 2, 6: 1}),
+    4: (15, {2: 1, 3: 1, 4: 2, 5: 2, 6: 1, 7: 1, 10: 1, 11: 1, 12: 2, 14: 1}),
+    5: (31, {2: 1, 3: 1, 4: 2, 5: 2, 7: 1, 8: 2, 10: 1, 11: 1, 12: 2, 15: 1,
+             18: 1, 19: 1, 20: 2, 23: 1, 26: 1, 27: 1, 30: 1}),
+}
 
-    dim3_pen1_mod7: frozenset[int]
-    dim4_pen1_mod15: frozenset[int]
-    dim2_so_pen1_mod6: frozenset[int]
-    dim2_so_pen2_mod6: frozenset[int]
-    dim3_so_pen1_mod7: frozenset[int]
-    dim3_so_pen2_mod7: frozenset[int]
-    dim4_so_pen1_mod15: frozenset[int]
-    dim4_so_pen2_mod15: frozenset[int]
-    e1_mod31: frozenset[int]
-    e2_mod31: frozenset[int]
-    lin5_extra_pen1: frozenset[int]
-    lin5_moved_to_pen2: frozenset[int]
-    so5_pen1_mod31: frozenset[int]
-    so5_pen2_mod31: frozenset[int]
-    so5_extra_pen2: frozenset[int]
-    so5_open_mod31: frozenset[int]
+# k -> (start, first length with a code): dso_opt is defined from start on,
+# and no self-orthogonal code exists at the lengths in between ([1,1]: the
+# only nonzero vector has odd weight).
+_SO_START = {1: (1, 2), 2: (4, 4), 3: (6, 6), 4: (4, 8), 5: (10, 10)}
 
-    def in_lin5_pen1(self, n: int) -> bool:
-        if n in self.lin5_extra_pen1:
-            return True
-        if n in self.lin5_moved_to_pen2:
-            return False
-        return n % 31 in self.e1_mod31
+# d_opt falls one below the staircase bound at these dimension-5 lengths.
+_LIN5_BELOW_GRIESMER = frozenset({8, 9, 12, 13})
 
-    def in_lin5_pen2(self, n: int) -> bool:
-        return n in self.lin5_moved_to_pen2 or n % 31 in self.e2_mod31
-
-    def in_so5_open(self, n: int) -> bool:
-        return n % 31 in self.so5_open_mod31
-
-
-RESIDUES = ResidueSets(
-    dim3_pen1_mod7=frozenset({2}),
-    dim4_pen1_mod15=frozenset({2, 3, 4, 6, 10}),
-    dim2_so_pen1_mod6=frozenset({2, 5}),
-    dim2_so_pen2_mod6=frozenset({3}),
-    dim3_so_pen1_mod7=frozenset({2, 3, 6}),
-    dim3_so_pen2_mod7=frozenset({4}),
-    dim4_so_pen1_mod15=frozenset({2, 3, 6, 7, 10, 11, 14}),
-    dim4_so_pen2_mod15=frozenset({4, 5, 12}),
-    e1_mod31=frozenset({2, 3, 5, 6, 7, 8, 10, 11, 12, 14, 18, 19, 20, 22, 26}),
-    e2_mod31=frozenset({4}),
-    lin5_extra_pen1=frozenset({9, 13}),
-    lin5_moved_to_pen2=frozenset({8, 12}),
-    so5_pen1_mod31=frozenset({2, 3, 7, 10, 11, 15, 18, 19, 23, 26, 27, 30}),
-    so5_pen2_mod31=frozenset({4, 5, 8, 12, 20}),
-    so5_extra_pen2=frozenset({13}),
-    so5_open_mod31=frozenset({6, 13, 14, 21, 22, 28, 29}),
-)
+# The dimension-5 residues mod 31 the self-orthogonal formula leaves open.
+_SO5_OPEN_MOD31 = frozenset({6, 13, 14, 21, 22, 28, 29})
 
 # Lengths up to here have fully classified self-orthogonal codes, so the
 # open dimension-5 residues are still exact values below this bound.
 SO5_CLASSIFIED_MAX_N = 40
+
+
+def _formula(n: int, k: int, table: dict[int, tuple[int, dict[int, int]]]) -> int:
+    """2**(k-1) * n // (2**k - 1), less the table's penalty for n's residue."""
+    period, penalty = table[k]
+    return (n << (k - 1)) // ((1 << k) - 1) - penalty.get(n % period, 0)
 
 
 def griesmer_g(k: int, d: int) -> int:
@@ -124,20 +106,7 @@ def griesmer_upper(n: int, k: int) -> int:
         raise DomainError("closed forms cover 1 <= k <= 5 only")
     if n < k:
         raise DomainError(f"need n >= {k}")
-    if k == 1:
-        return n
-    if k == 2:
-        return (2 * n) // 3
-    if k == 3:
-        return (4 * n) // 7 - (1 if n % 7 == 2 else 0)
-    if k == 4:
-        return (8 * n) // 15 - (1 if n % 15 in RESIDUES.dim4_pen1_mod15 else 0)
-    base = (16 * n) // 31
-    if n % 31 in RESIDUES.e1_mod31:
-        return base - 1
-    if n % 31 in RESIDUES.e2_mod31:
-        return base - 2
-    return base
+    return _formula(n, k, _LINEAR)
 
 
 def d_opt(n: int, k: int) -> DistanceValue:
@@ -146,75 +115,37 @@ def d_opt(n: int, k: int) -> DistanceValue:
         raise DomainError("formulas cover 1 <= k <= 5 only")
     if n < k:
         raise DomainError(f"need n >= {k} for dimension {k}")
-    if k == 1:
-        return DistanceValue(n, STATUS_EXACT, "dim1-repetition")
-    if k == 2:
-        return DistanceValue((2 * n) // 3, STATUS_EXACT, "dim2-formula")
-    if k == 3:
-        pen = 1 if n % 7 in RESIDUES.dim3_pen1_mod7 else 0
-        return DistanceValue((4 * n) // 7 - pen, STATUS_EXACT, "dim3-formula")
-    if k == 4:
-        pen = 1 if n % 15 in RESIDUES.dim4_pen1_mod15 else 0
-        return DistanceValue((8 * n) // 15 - pen, STATUS_EXACT, "dim4-formula")
-    base = (16 * n) // 31
-    if RESIDUES.in_lin5_pen1(n):
-        base -= 1
-    elif RESIDUES.in_lin5_pen2(n):
-        base -= 2
-    return DistanceValue(base, STATUS_EXACT, "dim5-formula")
+    value = _formula(n, k, _LINEAR)
+    if k == 5 and n in _LIN5_BELOW_GRIESMER:
+        value -= 1
+    source = "dim1-repetition" if k == 1 else f"dim{k}-formula"
+    return DistanceValue(value, STATUS_EXACT, source)
 
 
 def dso_opt(n: int, k: int) -> DistanceValue:
     """Best minimum distance of an [n, k] self-orthogonal code, k <= 5.
 
-    Raises NoSOCodeError where no such code exists (dimension 4, lengths
-    4..7) and DomainError below each formula's starting length.
+    Raises NoSOCodeError where no such code exists (dimension 1, length 1;
+    dimension 4, lengths 4..7) and DomainError below each formula's
+    starting length.
     """
     if not 1 <= k <= 5:
         raise DomainError("formulas cover 1 <= k <= 5 only")
-    if k == 1:
-        if n < 1:
-            raise DomainError("need n >= 1")
-        if n == 1:
-            # the only nonzero vector has odd weight, so nothing qualifies
-            raise NoSOCodeError("no [1,1] self-orthogonal code exists")
-        return DistanceValue(n - (n & 1), STATUS_EXACT, "dim1-so")
-    if k == 2:
-        if n < 4:
-            raise DomainError("dimension-2 formula starts at n = 4")
-        r = n % 6
-        pen = 1 if r in RESIDUES.dim2_so_pen1_mod6 else 0
-        pen = 2 if r in RESIDUES.dim2_so_pen2_mod6 else pen
-        return DistanceValue((2 * n) // 3 - pen, STATUS_EXACT, "dim2-so-formula")
-    if k == 3:
-        if n < 6:
-            raise DomainError("dimension-3 formula starts at n = 6")
-        r = n % 7
-        pen = 1 if r in RESIDUES.dim3_so_pen1_mod7 else 0
-        pen = 2 if r in RESIDUES.dim3_so_pen2_mod7 else pen
-        return DistanceValue((4 * n) // 7 - pen, STATUS_EXACT, "dim3-so-formula")
-    if k == 4:
-        if n < 4:
-            raise DomainError("need n >= 4 for dimension 4")
-        if n <= 7:
-            raise NoSOCodeError(f"no [{n},4] self-orthogonal code exists")
-        r = n % 15
-        pen = 1 if r in RESIDUES.dim4_so_pen1_mod15 else 0
-        pen = 2 if r in RESIDUES.dim4_so_pen2_mod15 or n == 13 else pen
-        return DistanceValue((8 * n) // 15 - pen, STATUS_EXACT, "dim4-so-formula")
-    if n < 10:
-        raise DomainError("dimension-5 values start at n = 10")
-    if n != 13 and RESIDUES.in_so5_open(n):
+    start, first = _SO_START[k]
+    if n < start:
+        raise DomainError(f"dimension-{k} formula starts at n = {start}")
+    if n < first:
+        raise NoSOCodeError(f"no [{n},{k}] self-orthogonal code exists")
+    if k == 5 and n != 13 and n % 31 in _SO5_OPEN_MOD31:
         value = d_opt(n, 5).value - 2
         if n <= SO5_CLASSIFIED_MAX_N:
             return DistanceValue(value, STATUS_EXACT, "dim5-so-classified")
         return DistanceValue(value, STATUS_CONJECTURED, "dim5-so-conjecture")
-    base = (16 * n) // 31
-    if n % 31 in RESIDUES.so5_pen1_mod31:
-        base -= 1
-    elif n % 31 in RESIDUES.so5_pen2_mod31 or n in RESIDUES.so5_extra_pen2:
-        base -= 2
-    return DistanceValue(base, STATUS_EXACT, "dim5-so-formula")
+    value = _formula(n, k, _SO)
+    if n == 13 and k >= 4:
+        value -= 2  # [13,4] and [13,5]: no residue rule reaches them
+    source = "dim1-so" if k == 1 else f"dim{k}-so-formula"
+    return DistanceValue(value, STATUS_EXACT, source)
 
 
 def make_table(n_lo: int, n_hi: int, k: int) -> list[tuple[int, DistanceValue]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvalidPolicyError, RankDeficientError, WrongDimensionError
 from .gf2 import BinaryMatrix, gram, h_column, horizontal_join, rank
 from .profiles import column_profile
-from .tables import CLASS7_MASKS, CLASS8_MASKS
+from .tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"
@@ -116,18 +116,6 @@ def embed_dim3(g: BinaryMatrix) -> EmbedReport:
     _require_k(g, 3)
     odd = column_profile(g).parity_mask()
     return _flip_report(g, (odd if odd.bit_count() < 4 else 0b11111110 ^ odd,))
-
-
-def _dim4_projected_counts(odd_mask: int) -> list[int]:
-    """Projected append counts n1[s] + n2[s] for every split, 0-indexed."""
-    totals = []
-    for s in range(15):
-        in7 = (odd_mask & CLASS7_MASKS[s]).bit_count()
-        n1 = in7 if in7 < 4 else 7 - in7
-        in8 = (odd_mask & CLASS8_MASKS[s]).bit_count()
-        n2 = in8 if in8 <= 4 else 8 - in8
-        totals.append(n1 + n2)
-    return totals
 
 
 def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -420,6 +420,16 @@ def _index_bit_mask(k: int, b: int) -> int:
         acc |= acc << width
         width <<= 1
     return acc
+
+
+@lru_cache(maxsize=None)
+def _hit_masks(k: int) -> tuple[int, ...]:
+    """hit[i] has bit x set iff column index i contributes to message x,
+    that is iff <x, i> is odd."""
+    return tuple(
+        sum(1 << x for x in range(1 << k) if (x & i).bit_count() & 1)
+        for i in range(1 << k)
+    )
 
 
 def simplex_matrix(k: int) -> BinaryMatrix:

@@ -20,15 +20,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .embedding import _dim4_projected_counts, embed
+from .embedding import embed
 from .errors import CapExceededError, DomainError, NoSOCodeError
-from .gf2 import BinaryMatrix, gram, rank, random_matrix
+from .gf2 import BinaryMatrix, _hit_masks, gram, rank, random_matrix
 from .profiles import (
     ColumnProfile,
     _add_column,
     _column_counts,
     _gram_mask,
-    _hit_masks,
     _hit_vectors,
     _is_so_odd_mask,
     _parity_kernel_basis,
@@ -36,7 +35,7 @@ from .profiles import (
     _so_parity_masks,
     _sym_masks,
 )
-from .tables import CLASS7_MASKS, CLASS8_MASKS
+from .tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
 
 PROFILE_SPACE_CAP = 10**8
 ORACLE_K_CAP = 6

@@ -23,13 +23,14 @@ from typing import Sequence
 from .errors import CapExceededError, IndexOutOfRangeError, WrongDimensionError
 from .gf2 import (
     BinaryMatrix,
+    _hit_masks,
     _index_bit_mask,
     _row_ip,
     gram,
     h_column,
     horizontal_join,
 )
-from .tables import CLASS7_MASKS, CLASS8_MASKS, DIM4_TABLES, Dim4Tables
+from .tables import DIM4_TABLES, Dim4Tables, _dim4_projected_counts
 from .tables import verify_sigma_symmetry  # noqa: F401  (re-exported API)
 
 # 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
@@ -124,19 +125,14 @@ def _column_counts(m: BinaryMatrix) -> list[int]:
     return counts
 
 
-_BIT_MASK_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _bit_masks(k: int) -> tuple[int, ...]:
     """_index_bit_mask(k, b) for b = 0 .. k - 1, built once per k.
 
     Only these k masks of 2**k bits are kept; a pair mask is one AND of two
     of them, so the k(k + 1)/2 pair masks never need to be held at once.
     """
-    masks = _BIT_MASK_CACHE.get(k)
-    if masks is None:
-        masks = _BIT_MASK_CACHE[k] = tuple(_index_bit_mask(k, b) for b in range(k))
-    return masks
+    return tuple(_index_bit_mask(k, b) for b in range(k))
 
 
 def _pair_mask(k: int, j: int, j2: int) -> int:
@@ -211,15 +207,7 @@ def is_so_dim4(p: ColumnProfile) -> bool:
     """Dimension-4 test: some split has parity-constant multiplicities on
     both of its index classes."""
     _require_dim(p, 4)
-    odd_mask = p.parity_mask()
-    for s in range(15):
-        a = odd_mask & CLASS7_MASKS[s]
-        if a != 0 and a != CLASS7_MASKS[s]:
-            continue
-        b = odd_mask & CLASS8_MASKS[s]
-        if b == 0 or b == CLASS8_MASKS[s]:
-            return True
-    return False
+    return min(_dim4_projected_counts(p.parity_mask())) == 0
 
 
 def is_so_dim_check(p: ColumnProfile) -> bool:
@@ -268,16 +256,6 @@ def matrix_from_profile(p: ColumnProfile) -> BinaryMatrix:
     cols.extend([(0,) * p.k] * p.zero_count)
     base = BinaryMatrix(p.k, 0, (0,) * p.k)
     return horizontal_join(base, cols)
-
-
-@lru_cache(maxsize=None)
-def _hit_masks(k: int) -> tuple[int, ...]:
-    """hit[i] has bit x set iff column index i contributes to message x,
-    that is iff <x, i> is odd."""
-    return tuple(
-        sum(1 << x for x in range(1 << k) if (x & i).bit_count() & 1)
-        for i in range(1 << k)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ with <i, rev4(s)> = 1 and the 7-class the nonzero vectors of the
 hyperplane itself.  Parity constancy of the column multiplicities on both
 classes, for some s, is exactly dimension-4 self-orthogonality.  The
 companion pair families group the 14 indices other than s into the pairs
-(x, x ^ s) and drive consistency checks on the class tables.
+(x, x ^ s) and drive consistency checks on the class tables.  The
+per-split count of columns to append, which the dimension-4 test and
+embedding both read, is computed here too.
 
 All of it is derived here rather than written out; :func:`validate_tables`
 runs at import so a wrong derivation fails loudly instead of corrupting
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+from .gf2 import _hit_masks
 
 Pair = tuple[int, int]
 
@@ -135,11 +139,21 @@ def _pair_families(s: int) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
 
 
 # Bit i set for index i; the 8-class of split s is CLASS8_MASKS[s - 1].
-CLASS8_MASKS: tuple[int, ...] = tuple(
-    sum(1 << i for i in range(1, 16) if (i & _rev4(s)).bit_count() & 1)
-    for s in range(1, 16)
-)
+CLASS8_MASKS: tuple[int, ...] = tuple(_hit_masks(4)[_rev4(s)] for s in range(1, 16))
 CLASS7_MASKS: tuple[int, ...] = tuple(0xFFFE ^ m for m in CLASS8_MASKS)
+
+
+def _dim4_projected_counts(odd_mask: int) -> list[int]:
+    """Projected append counts n1[s] + n2[s] for every split, 0-indexed."""
+    totals = []
+    for s in range(15):
+        in7 = (odd_mask & CLASS7_MASKS[s]).bit_count()
+        n1 = in7 if in7 < 4 else 7 - in7
+        in8 = (odd_mask & CLASS8_MASKS[s]).bit_count()
+        n2 = in8 if in8 <= 4 else 8 - in8
+        totals.append(n1 + n2)
+    return totals
+
 
 _FAMILIES = [_pair_families(s) for s in range(1, 16)]
 

@@ -221,3 +221,32 @@ def test_tables_dump_pinned(capsys):
     assert main(["tables", "--dump"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == TABLES_DUMP_SHA256
+
+
+# sha256 of `so-embed table --k K --from S --to 400 --format md`, S the first
+# length with a self-orthogonal code, as the residue-set formulas printed it
+TABLE_MD_SHA256 = {
+    1: (2, "58a65dbca5ecde6c5f7be9be7a8a3f8b5c397289c5e30f187e30eb69fd980ec6"),
+    2: (4, "ca1f861c9dfe0a0405ceb81a345a4a1dee1bcbc5269cdd299f1c097c97ea18b8"),
+    3: (6, "30b0aacb0f68ed2b029ff3f257ac3c157a91635ac41bfcdb5188bb98cf91f208"),
+    4: (8, "15733b9bdfea1b6975af0f2e01fe282d7e06be7b95e0a48c8a0e96c19f192317"),
+    5: (10, "f9e7bc44c72ef44bfde56b93a6079271012bb1d98bc1797c63c3f3921a8cbb9c"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TABLE_MD_SHA256))
+def test_table_md_pinned(k, capsys):
+    start, digest = TABLE_MD_SHA256[k]
+    args = ["table", "--k", str(k), "--from", str(start), "--to", "400"]
+    assert main(args + ["--format", "md"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k, start", [(1, 1), (4, 4)])
+def test_table_from_no_code_length(k, start, capsys):
+    args = ["table", "--k", str(k), "--from", str(start), "--to", "400"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no [{start},{k}] self-orthogonal code exists\n"

@@ -1,5 +1,7 @@
 """Closed-form distance formulas: examples, ranges, parity, consistency."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from soembed.distances import (
@@ -14,6 +16,184 @@ from soembed.distances import (
     make_table,
 )
 from soembed.errors import DomainError, NoSOCodeError
+
+# ---------------------------------------------------------------------------
+# Reference: the formulas written out branch by branch, one residue set per
+# case.  The table-driven closed forms must agree with it everywhere.
+
+
+@dataclass(frozen=True)
+class ResidueSets:
+    """Residue bookkeeping behind the dimension-4 and -5 formulas.
+
+    The dimension-5 linear sets adjust a pure residue family by the four
+    individual integers 8, 9, 12, 13 (not by their residue classes).
+    """
+
+    dim3_pen1_mod7: frozenset
+    dim4_pen1_mod15: frozenset
+    dim2_so_pen1_mod6: frozenset
+    dim2_so_pen2_mod6: frozenset
+    dim3_so_pen1_mod7: frozenset
+    dim3_so_pen2_mod7: frozenset
+    dim4_so_pen1_mod15: frozenset
+    dim4_so_pen2_mod15: frozenset
+    e1_mod31: frozenset
+    e2_mod31: frozenset
+    lin5_extra_pen1: frozenset
+    lin5_moved_to_pen2: frozenset
+    so5_pen1_mod31: frozenset
+    so5_pen2_mod31: frozenset
+    so5_extra_pen2: frozenset
+    so5_open_mod31: frozenset
+
+    def in_lin5_pen1(self, n):
+        if n in self.lin5_extra_pen1:
+            return True
+        if n in self.lin5_moved_to_pen2:
+            return False
+        return n % 31 in self.e1_mod31
+
+    def in_lin5_pen2(self, n):
+        return n in self.lin5_moved_to_pen2 or n % 31 in self.e2_mod31
+
+    def in_so5_open(self, n):
+        return n % 31 in self.so5_open_mod31
+
+
+RESIDUES = ResidueSets(
+    dim3_pen1_mod7=frozenset({2}),
+    dim4_pen1_mod15=frozenset({2, 3, 4, 6, 10}),
+    dim2_so_pen1_mod6=frozenset({2, 5}),
+    dim2_so_pen2_mod6=frozenset({3}),
+    dim3_so_pen1_mod7=frozenset({2, 3, 6}),
+    dim3_so_pen2_mod7=frozenset({4}),
+    dim4_so_pen1_mod15=frozenset({2, 3, 6, 7, 10, 11, 14}),
+    dim4_so_pen2_mod15=frozenset({4, 5, 12}),
+    e1_mod31=frozenset({2, 3, 5, 6, 7, 8, 10, 11, 12, 14, 18, 19, 20, 22, 26}),
+    e2_mod31=frozenset({4}),
+    lin5_extra_pen1=frozenset({9, 13}),
+    lin5_moved_to_pen2=frozenset({8, 12}),
+    so5_pen1_mod31=frozenset({2, 3, 7, 10, 11, 15, 18, 19, 23, 26, 27, 30}),
+    so5_pen2_mod31=frozenset({4, 5, 8, 12, 20}),
+    so5_extra_pen2=frozenset({13}),
+    so5_open_mod31=frozenset({6, 13, 14, 21, 22, 28, 29}),
+)
+
+
+def ref_griesmer_upper(n, k):
+    if not 1 <= k <= 5:
+        raise DomainError
+    if n < k:
+        raise DomainError
+    if k == 1:
+        return n
+    if k == 2:
+        return (2 * n) // 3
+    if k == 3:
+        return (4 * n) // 7 - (1 if n % 7 == 2 else 0)
+    if k == 4:
+        return (8 * n) // 15 - (1 if n % 15 in RESIDUES.dim4_pen1_mod15 else 0)
+    base = (16 * n) // 31
+    if n % 31 in RESIDUES.e1_mod31:
+        return base - 1
+    if n % 31 in RESIDUES.e2_mod31:
+        return base - 2
+    return base
+
+
+def ref_d_opt(n, k):
+    """(value, status, source) of d_opt."""
+    if not 1 <= k <= 5:
+        raise DomainError
+    if n < k:
+        raise DomainError
+    if k == 1:
+        return n, STATUS_EXACT, "dim1-repetition"
+    if k == 2:
+        return (2 * n) // 3, STATUS_EXACT, "dim2-formula"
+    if k == 3:
+        pen = 1 if n % 7 in RESIDUES.dim3_pen1_mod7 else 0
+        return (4 * n) // 7 - pen, STATUS_EXACT, "dim3-formula"
+    if k == 4:
+        pen = 1 if n % 15 in RESIDUES.dim4_pen1_mod15 else 0
+        return (8 * n) // 15 - pen, STATUS_EXACT, "dim4-formula"
+    base = (16 * n) // 31
+    if RESIDUES.in_lin5_pen1(n):
+        base -= 1
+    elif RESIDUES.in_lin5_pen2(n):
+        base -= 2
+    return base, STATUS_EXACT, "dim5-formula"
+
+
+def ref_dso_opt(n, k):
+    """(value, status, source) of dso_opt."""
+    if not 1 <= k <= 5:
+        raise DomainError
+    if k == 1:
+        if n < 1:
+            raise DomainError
+        if n == 1:
+            raise NoSOCodeError
+        return n - (n & 1), STATUS_EXACT, "dim1-so"
+    if k == 2:
+        if n < 4:
+            raise DomainError
+        r = n % 6
+        pen = 1 if r in RESIDUES.dim2_so_pen1_mod6 else 0
+        pen = 2 if r in RESIDUES.dim2_so_pen2_mod6 else pen
+        return (2 * n) // 3 - pen, STATUS_EXACT, "dim2-so-formula"
+    if k == 3:
+        if n < 6:
+            raise DomainError
+        r = n % 7
+        pen = 1 if r in RESIDUES.dim3_so_pen1_mod7 else 0
+        pen = 2 if r in RESIDUES.dim3_so_pen2_mod7 else pen
+        return (4 * n) // 7 - pen, STATUS_EXACT, "dim3-so-formula"
+    if k == 4:
+        if n < 4:
+            raise DomainError
+        if n <= 7:
+            raise NoSOCodeError
+        r = n % 15
+        pen = 1 if r in RESIDUES.dim4_so_pen1_mod15 else 0
+        pen = 2 if r in RESIDUES.dim4_so_pen2_mod15 or n == 13 else pen
+        return (8 * n) // 15 - pen, STATUS_EXACT, "dim4-so-formula"
+    if n < 10:
+        raise DomainError
+    if n != 13 and RESIDUES.in_so5_open(n):
+        value = ref_d_opt(n, 5)[0] - 2
+        if n <= 40:
+            return value, STATUS_EXACT, "dim5-so-classified"
+        return value, STATUS_CONJECTURED, "dim5-so-conjecture"
+    base = (16 * n) // 31
+    if n % 31 in RESIDUES.so5_pen1_mod31:
+        base -= 1
+    elif n % 31 in RESIDUES.so5_pen2_mod31 or n in RESIDUES.so5_extra_pen2:
+        base -= 2
+    return base, STATUS_EXACT, "dim5-so-formula"
+
+
+def _outcome(f, n, k):
+    try:
+        r = f(n, k)
+    except (DomainError, NoSOCodeError) as exc:
+        return type(exc)
+    return r if isinstance(r, (int, tuple)) else (r.value, r.status, r.source)
+
+
+@pytest.mark.parametrize(
+    "f, ref",
+    [
+        (griesmer_upper, ref_griesmer_upper),
+        (d_opt, ref_d_opt),
+        (dso_opt, ref_dso_opt),
+    ],
+)
+def test_closed_forms_match_branch_reference(f, ref):
+    for k in range(-1, 8):
+        for n in range(-3, 3001):
+            assert _outcome(f, n, k) == _outcome(ref, n, k), (f.__name__, n, k)
 
 
 def test_griesmer_g():
@@ -73,6 +253,12 @@ def test_dso_opt_errors():
         dso_opt(5, 3)
     with pytest.raises(DomainError):
         dso_opt(9, 5)
+
+
+@pytest.mark.parametrize("k, start", [(1, 1), (2, 4), (3, 6), (4, 4), (5, 10)])
+def test_dso_opt_start_message(k, start):
+    with pytest.raises(DomainError, match=f"^dimension-{k} formula starts at n = {start}$"):
+        dso_opt(start - 1, k)
 
 
 def test_dso_dim1():
