@@ -72,8 +72,6 @@ from .oracle import (
 )
 from .profiles import (
     ColumnProfile,
-    DIM4_TABLES,
-    Dim4Tables,
     ParitySets,
     column_index,
     column_profile,
@@ -84,7 +82,7 @@ from .profiles import (
     is_so_profile,
     matrix_from_profile,
     parity_sets,
-    verify_sigma_symmetry,
 )
+from .tables import verify_sigma_symmetry
 
 __version__ = "0.1.0"

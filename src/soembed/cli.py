@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import constructions, distances, golden, oracle, profiles
 from .embedding import EmbedPolicy, embed
 from .errors import MatrixParseError, MissingSeedError, NoSOCodeError, SoEmbedError
 from .gf2 import BinaryMatrix, min_distance, parse_matrix, rank
-from .tables import DIM4_TABLES
+from .tables import dim4_tables_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -164,13 +165,15 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.dump:
-        print(json.dumps(DIM4_TABLES.to_json_dict(), indent=2))
+        print(json.dumps(dim4_tables_json(), indent=2))
         return EXIT_OK
     print("nothing to do (use --dump)")
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="so-embed",
         description="Self-orthogonality checks, shortest self-orthogonal "
@@ -251,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MatrixParseError as exc:

@@ -149,7 +149,18 @@ def dso_opt(n: int, k: int) -> DistanceValue:
 
 
 def make_table(n_lo: int, n_hi: int, k: int) -> list[tuple[int, DistanceValue]]:
-    """Rows (n, dso_opt(n, k)) for n_lo <= n <= n_hi."""
+    """Rows (n, dso_opt(n, k)) for n_lo <= n <= n_hi, skipping the lengths
+    with no self-orthogonal code; NoSOCodeError if that leaves none."""
     if n_lo > n_hi:
         raise DomainError("empty range")
-    return [(n, dso_opt(n, k)) for n in range(n_lo, n_hi + 1)]
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        try:
+            rows.append((n, dso_opt(n, k)))
+        except NoSOCodeError:
+            pass
+    if not rows:
+        raise NoSOCodeError(
+            f"no [n,{k}] self-orthogonal code exists for {n_lo} <= n <= {n_hi}"
+        )
+    return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvalidPolicyError, RankDeficientError, WrongDimensionError
 from .gf2 import BinaryMatrix, gram, h_column, horizontal_join, rank
 from .profiles import column_profile
-from .tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
+from .tables import CLASS7_MASKS, CLASS8_MASKS, _class_flips, _dim4_projected_counts
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"
@@ -115,7 +115,7 @@ def embed_dim3(g: BinaryMatrix) -> EmbedReport:
     """Flip the smaller parity class into the larger."""
     _require_k(g, 3)
     odd = column_profile(g).parity_mask()
-    return _flip_report(g, (odd if odd.bit_count() < 4 else 0b11111110 ^ odd,))
+    return _flip_report(g, (_class_flips(odd, 0b11111110),))
 
 
 def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedReport:
@@ -132,19 +132,13 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
             raise InvalidPolicyError(
                 f"s0={s0} appends {totals[s0 - 1]} columns, minimum is {best}"
             )
-    # Flip the minority parity on each class; the tie rule decides which
-    # half of the 8-class to flip when exactly 4 of its indices are odd.
-    mask7 = CLASS7_MASKS[s0 - 1]
-    mask8 = CLASS8_MASKS[s0 - 1]
-    odd7 = odd & mask7
-    odd8 = odd & mask8
-    flip7 = odd7 if odd7.bit_count() < 4 else mask7 ^ odd7
-    c8 = odd8.bit_count()
-    if c8 < 4 or c8 == 4 and policy.tie4 == TIE4_INTERSECT:
-        flip8 = odd8
-    else:
-        flip8 = mask8 ^ odd8
-    return _flip_report(g, (flip7, flip8), policy)
+    # The tie rule decides which half of the 8-class to flip when exactly
+    # 4 of its indices are odd.
+    flips = (
+        _class_flips(odd, CLASS7_MASKS[s0 - 1]),
+        _class_flips(odd, CLASS8_MASKS[s0 - 1], policy.tie4 == TIE4_INTERSECT),
+    )
+    return _flip_report(g, flips, policy)
 
 
 def embed_recursive(g: BinaryMatrix) -> EmbedReport:

@@ -30,8 +30,7 @@ from .gf2 import (
     h_column,
     horizontal_join,
 )
-from .tables import DIM4_TABLES, Dim4Tables, _dim4_projected_counts
-from .tables import verify_sigma_symmetry  # noqa: F401  (re-exported API)
+from .tables import _class_flips, _dim4_projected_counts
 
 # 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
 PROFILE_K_CAP = 24
@@ -199,8 +198,7 @@ def is_so_dim2(p: ColumnProfile) -> bool:
 def is_so_dim3(p: ColumnProfile) -> bool:
     """Dimension-3 test: the seven multiplicities share one parity."""
     _require_dim(p, 3)
-    first = p.ell[0] & 1
-    return all((c & 1) == first for c in p.ell)
+    return not _class_flips(p.parity_mask(), 0b11111110)
 
 
 def is_so_dim4(p: ColumnProfile) -> bool:
@@ -352,8 +350,6 @@ def _so_parity_masks(k: int) -> tuple[int, ...]:
 __all__ = [
     "ColumnProfile",
     "ParitySets",
-    "Dim4Tables",
-    "DIM4_TABLES",
     "column_index",
     "column_profile",
     "intersection_parity",
@@ -365,5 +361,4 @@ __all__ = [
     "matrix_from_profile",
     "parity_sets",
     "so_verdicts",
-    "verify_sigma_symmetry",
 ]

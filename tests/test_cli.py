@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from soembed.cli import main
+from soembed.cli import build_parser, main
 from soembed.gf2 import parse_matrix
 
 HAMMING = "0000111\n0011001\n0101010\n1001011\n"
@@ -245,8 +245,41 @@ def test_table_md_pinned(k, capsys):
 
 @pytest.mark.parametrize("k, start", [(1, 1), (4, 4)])
 def test_table_from_no_code_length(k, start, capsys):
+    # lengths with no self-orthogonal code are skipped, not fatal: the table
+    # is the one that starts at the first length with a code
     args = ["table", "--k", str(k), "--from", str(start), "--to", "400"]
-    assert main(args) == 1
+    assert main(args + ["--format", "md"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TABLE_MD_SHA256[k][1]
+
+
+def test_table_without_any_code_length(capsys):
+    assert main(["table", "--k", "4", "--from", "4", "--to", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"no [{start},{k}] self-orthogonal code exists\n"
+    assert "no [n,4] self-orthogonal code exists" in captured.err
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state(hamming_file, capsys):
+    calls = [
+        ["formula", "--n", "44", "--k", "5", "--so"],
+        ["formula", "--n", "44", "--k", "5"],
+        ["embed", "--json", hamming_file],
+        ["embed", hamming_file],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    reused = [run(argv) for argv in calls]
+    assert reused == fresh
+    assert fresh[0] != fresh[1] and fresh[2] != fresh[3]

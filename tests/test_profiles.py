@@ -17,7 +17,6 @@ from soembed.gf2 import (
 )
 from soembed.profiles import (
     ColumnProfile,
-    DIM4_TABLES,
     _gram_mask,
     _is_so_odd_mask,
     _profile_weights,
@@ -33,9 +32,15 @@ from soembed.profiles import (
     is_so_profile,
     matrix_from_profile,
     parity_sets,
+)
+from soembed.tables import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
+    _class_flips,
+    _pair_families,
+    validate_tables,
     verify_sigma_symmetry,
 )
-from soembed.tables import Dim4Tables, validate_tables
 
 G_10_3 = parse_matrix("0000111111\n0111001111\n1011010001")
 TG_10_3 = parse_matrix("00001111110\n01110011111\n10110100011")
@@ -120,13 +125,12 @@ def test_parity_sets():
 
 
 def test_tables_structure():
-    for s in range(1, 16):
-        c7 = DIM4_TABLES.index_class(s, 1)
-        c8 = DIM4_TABLES.index_class(s, 2)
-        assert len(c7) == 7 and len(c8) == 8
-        assert c7 | c8 == frozenset(range(1, 16)) and not c7 & c8
+    for c7, c8 in zip(CLASS7_MASKS, CLASS8_MASKS):
+        assert c7.bit_count() == 7 and c8.bit_count() == 8
+        assert c7 | c8 == 0xFFFE and not c7 & c8  # a partition of 1..15
     for s in range(1, 8):
-        appearing = {x for p in DIM4_TABLES.pair_family(s, 1) for x in p}
+        small, _ = _pair_families(s)
+        appearing = {x for p in small for x in p}
         assert appearing == frozenset(range(1, 8)) - {s}
 
 
@@ -136,31 +140,51 @@ def test_pair_coverage_of_large_indices():
     covered = {
         frozenset(p)
         for s in range(1, 8)
-        for p in DIM4_TABLES.pair_family(s, 2)
+        for p in _pair_families(s)[1]
     }
     for pair in itertools.combinations(range(8, 16), 2):
         assert frozenset(pair) in covered
 
 
 def test_sigma_symmetry_witness():
-    witness = verify_sigma_symmetry(DIM4_TABLES)
+    witness = verify_sigma_symmetry()
     assert witness is not None
     assert all(witness[(1, i)] == i for i in range(1, 16))
     assert all(witness[(s, s)] == 1 for s in range(1, 16))
 
 
 def test_sigma_symmetry_rejects_corruption():
-    class7 = list(DIM4_TABLES.class7)
+    class7 = list(CLASS7_MASKS)
     class7[0], class7[1] = class7[1], class7[0]
-    broken = Dim4Tables(
-        pairs_small=DIM4_TABLES.pairs_small,
-        pairs_large=DIM4_TABLES.pairs_large,
-        class7=tuple(class7),
-        class8=DIM4_TABLES.class8,
-    )
-    assert verify_sigma_symmetry(broken) is None
+    broken = (tuple(class7), CLASS8_MASKS)
+    assert verify_sigma_symmetry(*broken) is None
     with pytest.raises(AssertionError):
-        validate_tables(broken)
+        validate_tables(*broken)
+
+
+def test_class_flips_dim3_matches_inline_rule():
+    full = 0b11111110  # indices 1..7; bit 0 (zero columns) never counts
+    for mask in range(1 << 8):
+        odd = mask & full
+        expected = odd if odd.bit_count() < 4 else full ^ odd
+        assert _class_flips(mask, full) == expected
+        assert (not _class_flips(mask, full)) == (odd in (0, full))
+
+
+def test_class_flips_dim4_matches_inline_rule():
+    for mask7, mask8 in zip(CLASS7_MASKS, CLASS8_MASKS):
+        for odd in range(0, 1 << 16, 2):
+            odd7 = odd & mask7
+            odd8 = odd & mask8
+            flip7 = odd7 if odd7.bit_count() < 4 else mask7 ^ odd7
+            assert _class_flips(odd, mask7) == flip7
+            for intersect in (True, False):
+                c8 = odd8.bit_count()
+                if c8 < 4 or c8 == 4 and intersect:
+                    flip8 = odd8
+                else:
+                    flip8 = mask8 ^ odd8
+                assert _class_flips(odd, mask8, intersect) == flip8
 
 
 def test_profile_vs_gram_random():
