@@ -26,10 +26,6 @@ from .embedding import (
     EmbedPolicy,
     EmbedReport,
     embed,
-    embed_dim2,
-    embed_dim3,
-    embed_dim4,
-    embed_recursive,
 )
 from .errors import (
     BadCharacterError,

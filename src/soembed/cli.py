@@ -53,15 +53,16 @@ def cmd_embed(args) -> int:
     rep = embed(m, policy, allow_rank_deficient=args.allow_rank_deficient)
     if args.json:
         print(rep.to_json())
+        return EXIT_OK
+    out = rep.output
+    d = min_distance(out)  # before any output: it may refuse the code
+    if rep.added_count == 0:
+        print("already self-orthogonal; 0 columns added")
     else:
-        if rep.added_count == 0:
-            print("already self-orthogonal; 0 columns added")
-        else:
-            cols = ", ".join(f"h{idx}@{lv}rows" for lv, idx in rep.added)
-            print(f"{rep.added_count} columns added: {cols}")
-        out = rep.output
-        print(f"[{out.n},{m.k},{min_distance(out)}] self-orthogonal output:")
-        print(out.to_text())
+        cols = ", ".join(f"h{idx}@{lv}rows" for lv, idx in rep.added)
+        print(f"{rep.added_count} columns added: {cols}")
+    print(f"[{out.n},{m.k},{d}] self-orthogonal output:")
+    print(out.to_text())
     return EXIT_OK
 
 

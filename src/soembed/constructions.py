@@ -21,7 +21,13 @@ from .distances import (
     d_opt,
     dso_opt,
 )
-from .errors import CapExceededError, DomainError, MissingSeedError, SoEmbedError
+from .errors import (
+    CapExceededError,
+    DomainError,
+    MatrixParseError,
+    MissingSeedError,
+    SoEmbedError,
+)
 from .gf2 import (
     BinaryMatrix,
     gram,
@@ -65,16 +71,21 @@ class SeedRegistry:
         if not root.is_dir():
             return cls(entries)
         for meta_path in sorted(root.glob("k*/*/t*.json")):
-            meta = json.loads(meta_path.read_text())
-            matrix = parse_matrix(meta_path.with_suffix(".txt").read_text())
-            entry = SeedEntry(
-                t=meta["t"],
-                k=meta["k"],
-                so=meta["so"],
-                matrix=matrix,
-                declared_d=meta["declared_d"],
-                provenance=meta.get("provenance", ""),
-            )
+            try:
+                meta = json.loads(meta_path.read_text())
+                matrix = parse_matrix(meta_path.with_suffix(".txt").read_text())
+                entry = SeedEntry(
+                    t=meta["t"],
+                    k=meta["k"],
+                    so=meta["so"],
+                    matrix=matrix,
+                    declared_d=meta["declared_d"],
+                    provenance=meta.get("provenance", ""),
+                )
+            except (OSError, ValueError, KeyError, TypeError, MatrixParseError) as exc:
+                raise MatrixParseError(
+                    f"seed {meta_path}: {type(exc).__name__}: {exc}"
+                ) from exc
             _validate_seed(entry, meta_path)
             entries[(entry.t, entry.k, entry.so)] = entry
         return cls(entries)

@@ -1,23 +1,27 @@
 """Shortest self-orthogonal embeddings by column appending.
 
-Dimensions 1..4 use the parity characterizations to append the provably
-minimal number of columns; dimension 5 and up peel rows that can be made
-orthogonal to everything, reduce to the dimension-4 case, and reinsert the
-peeled rows zero-padded.  The peel reads only the Gram matrix.  Appended
-columns are always of the form h_column(k', i) for the row count k' in
-effect at that step.
+`embed` is the one entry point, for every dimension k.  One routine peels
+rows, reading only the Gram matrix, until at most 4 are live; the parity
+rule of the dimension left then appends the provably minimal number of
+columns.  A column appended while k' rows are live is h_column(k', i) on
+those rows and 0 on the peeled ones.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidPolicyError, RankDeficientError, WrongDimensionError
-from .gf2 import BinaryMatrix, gram, h_column, horizontal_join, rank
+from .errors import InvalidPolicyError, RankDeficientError
+from .gf2 import BinaryMatrix, gram, rank
 from .profiles import column_profile
-from .tables import CLASS7_MASKS, CLASS8_MASKS, _class_flips, _dim4_projected_counts
+from .tables import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
+    _bits,
+    _class_flips,
+    _dim4_projected_counts,
+)
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"
@@ -32,6 +36,9 @@ class EmbedPolicy:
     tie4: how to treat the 8-class when exactly half its indices are odd:
         flip the odd half ("intersect", the default) or the even half
         ("difference").  Both yield shortest embeddings.
+
+    Both act at the dimension-4 step, which every k >= 4 reaches; below it
+    a policy other than the default is refused.
     """
 
     s0: int | None = None
@@ -87,41 +94,17 @@ class EmbedReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _require_k(m: BinaryMatrix, k: int) -> None:
-    if m.k != k:
-        raise WrongDimensionError(f"matrix has {m.k} rows, need {k}")
-
-
-def _flip_report(
-    g: BinaryMatrix, masks: tuple[int, ...], policy: EmbedPolicy = DEFAULT_POLICY
-) -> EmbedReport:
-    """Append h_column(g.k, i) once for each set bit i of each mask in turn,
-    ascending within a mask: each column flips the parity of ell_i."""
-    added = tuple(
-        (g.k, i) for m in masks for i in range(m.bit_length()) if m >> i & 1
-    )
-    out = horizontal_join(g, [h_column(lv, i) for lv, i in added])
-    return EmbedReport(input=g, added=added, output=out, policy=policy)
-
-
-def embed_dim2(g: BinaryMatrix) -> EmbedReport:
-    """Append h_i once for each index i with odd multiplicity (k = 1 or 2)."""
-    if g.k > 2:
-        _require_k(g, 2)
-    return _flip_report(g, (column_profile(g).parity_mask(),))
-
-
-def embed_dim3(g: BinaryMatrix) -> EmbedReport:
-    """Flip the smaller parity class into the larger."""
-    _require_k(g, 3)
-    odd = column_profile(g).parity_mask()
-    return _flip_report(g, (_class_flips(odd, 0b11111110),))
-
-
-def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedReport:
-    """Pick the cheapest split, then flip the minority parity on each class."""
-    _require_k(g, 4)
-    odd = column_profile(g).parity_mask()
+def _flip_masks(odd: int, k: int, policy: EmbedPolicy) -> tuple[int, ...]:
+    """The indices to flip, as masks in append order, so that a matrix of
+    k <= 4 rows whose odd-multiplicity indices are the bits of odd becomes
+    self-orthogonal, by the parity rule for dimension k."""
+    if k < 4:
+        if policy != DEFAULT_POLICY:
+            raise InvalidPolicyError(
+                f"a policy needs the dimension-4 step; the matrix has {k} rows"
+            )
+        # k <= 2: every index is its own class; k = 3: indices 1..7 are one
+        return (odd,) if k < 3 else (_class_flips(odd, 0b11111110),)
     totals = _dim4_projected_counts(odd)
     best = min(totals)
     if policy.s0 is None:
@@ -134,55 +117,56 @@ def embed_dim4(g: BinaryMatrix, policy: EmbedPolicy = DEFAULT_POLICY) -> EmbedRe
             )
     # The tie rule decides which half of the 8-class to flip when exactly
     # 4 of its indices are odd.
-    flips = (
+    return (
         _class_flips(odd, CLASS7_MASKS[s0 - 1]),
         _class_flips(odd, CLASS8_MASKS[s0 - 1], policy.tie4 == TIE4_INTERSECT),
     )
-    return _flip_report(g, flips, policy)
 
 
-def embed_recursive(g: BinaryMatrix) -> EmbedReport:
-    """Peel rows down to dimension 4, embed there, reinsert zero-padded rows.
+def _embed(g: BinaryMatrix, policy: EmbedPolicy, rank_deficient: bool) -> EmbedReport:
+    """Peel rows until at most 4 are live, then apply their parity rule.
 
-    The peel reads only the Gram matrix, computed once: appending a column c
-    adds c c^T to it.  At each level the first row orthogonal to all rows
-    (itself included) is set aside unchanged.  Failing that, a row with odd
-    self-product gets one correction column, its Gram column; if all
-    self-products are even, the first row gets two.
+    A row orthogonal to every live row (itself included) is peeled as is.
+    Failing that, a row with odd self-product gets one correction column,
+    its Gram column; if all self-products are even, the first row gets two.
     """
-    if g.k < 5:
-        raise WrongDimensionError(f"matrix has {g.k} rows, need >= 5")
-    # Bit j of grams[i] is <row i, row j>.  A peeled row is orthogonal to
-    # every row left, so no row left has a Gram bit at a peeled position.
+    # Bit j of grams[i] is <row i, row j>; appending a column c adds c c^T.
+    # A peeled row is orthogonal to every row left, so no row left has a
+    # Gram bit at a peeled position.
     grams = list(gram(g).rows)
     rows = list(g.rows)
     live = list(range(g.k))  # the rows not yet peeled, in order
-    n = g.n
     added: list[tuple[int, int]] = []
+
+    def append(c: int) -> None:
+        """Append the column with a 1 on each live row i with bit i of c;
+        peeled rows get a 0, which their ints need no padding for."""
+        added.append((len(live), int("".join("01"[c >> i & 1] for i in live), 2)))
+        bit = 1 << (g.n + len(added) - 1)
+        for i in live:
+            if c >> i & 1:
+                grams[i] ^= c
+                rows[i] |= bit
+
     while len(live) > 4:
         j0 = next((i for i in live if not grams[i]), None)
         if j0 is None:
             j0 = next((i for i in live if grams[i] >> i & 1), None)
             if j0 is not None:
-                cols = [grams[j0]]
+                append(grams[j0])
             else:
                 j0 = live[0]
-                cols = [grams[j0] | 1 << j0, 1 << j0]
-            for c in cols:
-                index = int("".join("01"[c >> i & 1] for i in live), 2)
-                added.append((len(live), index))
-                for i in live:
-                    if c >> i & 1:
-                        grams[i] ^= c
-                        rows[i] |= 1 << n
-                n += 1
+                append(grams[j0] | 1 << j0)
+                append(1 << j0)
         live.remove(j0)
-    rep4 = embed_dim4(BinaryMatrix(4, n, tuple(rows[i] for i in live)))
-    added.extend(rep4.added)
-    for i, row in zip(live, rep4.output.rows):
-        rows[i] = row  # peeled rows stay zero-padded: ints need no padding
-    out = BinaryMatrix(g.k, rep4.output.n, tuple(rows))
-    return EmbedReport(input=g, added=tuple(added), output=out)
+    left = BinaryMatrix(len(live), g.n + len(added), tuple(rows[i] for i in live))
+    odd = column_profile(left).parity_mask()
+    bottom_up = live[::-1]  # bit p of an index is row bottom_up[p]
+    for mask in _flip_masks(odd, len(live), policy):
+        for index in _bits(mask):
+            append(sum(1 << i for p, i in enumerate(bottom_up) if index >> p & 1))
+    out = BinaryMatrix(g.k, g.n + len(added), tuple(rows))
+    return EmbedReport(g, tuple(added), out, policy, rank_deficient)
 
 
 def embed(
@@ -190,20 +174,14 @@ def embed(
     policy: EmbedPolicy = DEFAULT_POLICY,
     allow_rank_deficient: bool = False,
 ) -> EmbedReport:
-    """Embed any-dimension generator matrix into a self-orthogonal one."""
-    deficient = rank(g) < g.k
-    if deficient and not allow_rank_deficient:
+    """Embed a generator matrix of any dimension into a self-orthogonal one.
+
+    policy applies at the dimension-4 step, which every k >= 4 reaches; for
+    k <= 3 anything but the default raises InvalidPolicyError.
+    """
+    r = rank(g)
+    if r < g.k and not allow_rank_deficient:
         raise RankDeficientError(
-            f"rank {rank(g)} < {g.k}; pass allow_rank_deficient=True to force"
+            f"rank {r} < {g.k}; pass allow_rank_deficient=True to force"
         )
-    if g.k <= 2:
-        rep = embed_dim2(g)
-    elif g.k == 3:
-        rep = embed_dim3(g)
-    elif g.k == 4:
-        rep = embed_dim4(g, policy)
-    else:
-        rep = embed_recursive(g)
-    if deficient:
-        rep = dataclasses.replace(rep, rank_deficient=True)
-    return rep
+    return _embed(g, policy, r < g.k)

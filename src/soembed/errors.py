@@ -6,7 +6,8 @@ class SoEmbedError(Exception):
 
 
 class MatrixParseError(SoEmbedError):
-    """Base class for matrix text parsing failures."""
+    """Base class for matrix text parsing failures; also raised when a
+    matrix file or a seed file cannot be read or parsed."""
 
 
 class EmptyInputError(MatrixParseError):

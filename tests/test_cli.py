@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from soembed import constructions, golden
 from soembed.cli import build_parser, main
-from soembed.gf2 import parse_matrix
+from soembed.gf2 import parse_matrix, random_full_rank_matrix, simplex_matrix
 
 HAMMING = "0000111\n0011001\n0101010\n1001011\n"
 SO_DEMO = "00001111110\n01110011111\n10110100011\n"
@@ -92,6 +93,49 @@ def test_embed_rank_deficient_exit(tmp_path, capsys):
     assert main(["embed", str(p), "--allow-rank-deficient"]) == 0
 
 
+def test_embed_policy_below_dimension_4(tmp_path, capsys):
+    p = tmp_path / "so3.txt"
+    p.write_text(SO_DEMO)
+    assert main(["embed", str(p), "--policy-s0", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension-4 step" in captured.err
+
+
+def test_embed_policy_at_peel(tmp_path, capsys):
+    p = tmp_path / "g95.txt"
+    p.write_text(golden.G_9_5.to_text())
+    assert main(["embed", str(p), "--json"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["embed", str(p), "--tie4", "difference", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["policy"] == {"s0": None, "tie4": "difference"}
+    assert data["added_count"] == default["added_count"]
+    assert data["so_verified"] is True
+
+
+def _assert_failed_cleanly(code, capsys):
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_embed_zero_code_prints_nothing(tmp_path, capsys):
+    p = tmp_path / "zero.txt"
+    p.write_text("00\n00\n")
+    code = main(["embed", str(p), "--allow-rank-deficient"])
+    _assert_failed_cleanly(code, capsys)
+
+
+def test_embed_past_rank_cap_prints_nothing(tmp_path, capsys):
+    # embedding works at any rank; the distance refuses rank > RANK_CAP = 40
+    p = tmp_path / "tall.txt"
+    p.write_text(random_full_rank_matrix(random.Random(41), 41, 60).to_text())
+    _assert_failed_cleanly(main(["embed", str(p)]), capsys)
+
+
 def test_dmin(hamming_file, capsys):
     assert main(["dmin", hamming_file]) == 0
     assert "dmin=3" in capsys.readouterr().out
@@ -130,6 +174,34 @@ def test_build(capsys):
 
 def test_build_missing_seed(capsys):
     assert main(["build", "--n", "34", "--k", "5", "--so"]) == 1
+
+
+SEED_META = {"t": 7, "k": 3, "so": True, "declared_d": 4}
+SEED_FAULTS = {
+    "no_txt": (json.dumps(SEED_META), None),
+    "bad_json": ("{not json", simplex_matrix(3).to_text()),
+    "no_declared_d": (
+        json.dumps({"t": 7, "k": 3, "so": True}),
+        simplex_matrix(3).to_text(),
+    ),
+    "bad_matrix": (json.dumps(SEED_META), "0001111\n0110x11\n1010101\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SEED_FAULTS))
+def test_build_bad_seed_file(fault, tmp_path, monkeypatch, capsys):
+    meta, text = SEED_FAULTS[fault]
+    sub = tmp_path / "k3" / "so"
+    sub.mkdir(parents=True)
+    (sub / "t7.json").write_text(meta)
+    if text is not None:
+        (sub / "t7.txt").write_text(text)
+    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(tmp_path))
+    monkeypatch.setattr(constructions, "_REGISTRY", None)
+    assert main(["build", "--n", "14", "--k", "3", "--so"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(sub / "t7.json") in captured.err
 
 
 def test_oracle_min_embed(hamming_file, capsys):

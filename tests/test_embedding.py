@@ -12,16 +12,8 @@ from soembed.embedding import (
     EmbedPolicy,
     _dim4_projected_counts,
     embed,
-    embed_dim2,
-    embed_dim3,
-    embed_dim4,
-    embed_recursive,
 )
-from soembed.errors import (
-    InvalidPolicyError,
-    RankDeficientError,
-    WrongDimensionError,
-)
+from soembed.errors import InvalidPolicyError, RankDeficientError
 from soembed.gf2 import (
     BinaryMatrix,
     _row_ip,
@@ -57,55 +49,45 @@ def test_golden_examples_all_pass():
 def test_dim2_already_so():
     h2 = simplex_matrix(2)
     doubled = horizontal_join(h2, [h2.column(j) for j in range(3)])
-    rep = embed_dim2(doubled)
+    rep = embed(doubled, allow_rank_deficient=True)
     assert rep.added_count == 0 and rep.output == doubled
 
 
 def test_dim3_second_demo():
     # profile (1,1,2,1,1,3,1): only ell_3 is even, so one column suffices
     g = parse_matrix("0000111111\n0111001111\n1011010001")
-    rep = embed_dim3(g)
+    rep = embed(g, allow_rank_deficient=True)
     assert rep.added == ((3, 3),)
     assert gram(rep.output).is_zero()
 
 
 def test_dim3_simplex_untouched():
-    rep = embed_dim3(simplex_matrix(3))
+    rep = embed(simplex_matrix(3), allow_rank_deficient=True)
     assert rep.added_count == 0
 
 
 def test_dim4_policy_must_minimize():
     g54 = parse_matrix("00011\n00101\n01001\n10001")
     for s0 in range(1, 16):
-        rep = embed_dim4(g54, EmbedPolicy(s0=s0))
+        rep = embed(g54, EmbedPolicy(s0=s0), allow_rank_deficient=True)
         assert rep.added_count == 5
         assert gram(rep.output).is_zero()
 
 
 def test_dim4_invalid_policy():
     g74 = parse_matrix("0000111\n0011001\n0101010\n1001011")
-    with pytest.raises(InvalidPolicyError):
-        embed_dim4(g74, EmbedPolicy(s0=1))  # only s0=15 minimizes here
+    with pytest.raises(InvalidPolicyError):  # only s0=15 minimizes here
+        embed(g74, EmbedPolicy(s0=1), allow_rank_deficient=True)
     with pytest.raises(InvalidPolicyError):
         EmbedPolicy(tie4="sideways")
     with pytest.raises(InvalidPolicyError):
         EmbedPolicy(s0=16)
 
 
-def test_wrong_dimension():
-    g = parse_matrix("0101\n1010\n0011")
-    with pytest.raises(WrongDimensionError):
-        embed_dim2(g)
-    with pytest.raises(WrongDimensionError):
-        embed_dim4(g)
-    with pytest.raises(WrongDimensionError):
-        embed_recursive(g)
-
-
 def test_dim5_already_so():
     h5 = simplex_matrix(5)
     doubled = horizontal_join(h5, [h5.column(j) for j in range(h5.n)])
-    rep = embed_recursive(doubled)
+    rep = embed(doubled, allow_rank_deficient=True)
     assert rep.added_count == 0
     assert rep.output == doubled
 
@@ -114,7 +96,7 @@ def test_dim6_random_bound():
     rng = random.Random(17)
     for _ in range(25):
         m = random_full_rank_matrix(rng, 6, 12)
-        rep = embed_recursive(m)
+        rep = embed(m, allow_rank_deficient=True)
         assert gram(rep.output).is_zero()
         assert rep.added_count <= 9  # two peels at 2 columns, then 5
         assert rank(rep.output) == 6
@@ -159,8 +141,8 @@ def test_dim4_tie_rule_same_count():
     rng = random.Random(31)
     for _ in range(200):
         m = random_full_rank_matrix(rng, 4, rng.randint(4, 20))
-        default = embed_dim4(m)
-        alt = embed_dim4(m, EmbedPolicy(tie4="difference"))
+        default = embed(m, allow_rank_deficient=True)
+        alt = embed(m, EmbedPolicy(tie4="difference"), allow_rank_deficient=True)
         assert alt.added_count == default.added_count
         assert gram(alt.output).is_zero()
 
@@ -174,12 +156,44 @@ def test_dim4_any_valid_split_same_count():
         m = random_full_rank_matrix(rng, 4, rng.randint(4, 16))
         totals = _dim4_projected_counts(column_profile(m).parity_mask())
         best = min(totals)
-        default = embed_dim4(m)
+        default = embed(m, allow_rank_deficient=True)
         for s0 in (s + 1 for s, tot in enumerate(totals) if tot == best):
             for tie4 in ("intersect", "difference"):
-                rep = embed_dim4(m, EmbedPolicy(s0=s0, tie4=tie4))
+                rep = embed(m, EmbedPolicy(s0=s0, tie4=tie4), allow_rank_deficient=True)
                 assert rep.added_count == default.added_count
                 assert gram(rep.output).is_zero()
+
+
+def test_policy_refused_below_dimension_4():
+    # k <= 3 has no dimension-4 step for a policy to act on
+    for g in (parse_matrix("111"), parse_matrix("0000111111\n0111001111\n1011010001")):
+        for policy in (EmbedPolicy(s0=1), EmbedPolicy(tie4="difference")):
+            with pytest.raises(InvalidPolicyError):
+                embed(g, policy)
+
+
+def test_k5_policy_applies_at_dimension_4_step():
+    # the peel leaves 4 rows on which only split 15 appends the minimum
+    with pytest.raises(InvalidPolicyError):
+        embed(golden.G_9_5, EmbedPolicy(s0=1))
+    rep = embed(golden.G_9_5, EmbedPolicy(s0=15, tie4="difference"))
+    assert rep.policy == EmbedPolicy(s0=15, tie4="difference")
+    assert rep.added == embed(golden.G_9_5).added
+
+
+def test_peel_tie_rule_same_count():
+    rng = random.Random(43)
+    changed = 0
+    for _ in range(300):
+        k = rng.randint(5, 9)
+        m = random_full_rank_matrix(rng, k, rng.randint(k, 24))
+        default = embed(m)
+        alt = embed(m, EmbedPolicy(tie4="difference"))
+        assert alt.policy.tie4 == "difference"
+        assert alt.added_count == default.added_count
+        assert gram(alt.output).is_zero()
+        changed += alt.added != default.added
+    assert changed  # the rule did act on some of them
 
 
 def test_column_permutation_equivariance():
@@ -280,19 +294,19 @@ def test_flip_masks_match_reference_loops(prof):
     m = matrix_from_profile(prof)
     odd = column_profile(m).parity_mask()
     if prof.k == 2:
-        assert embed_dim2(m).added == ref_dim2_added(odd)
+        assert embed(m, allow_rank_deficient=True).added == ref_dim2_added(odd)
         return
     if prof.k == 3:
-        assert embed_dim3(m).added == ref_dim3_added(odd)
+        assert embed(m, allow_rank_deficient=True).added == ref_dim3_added(odd)
         return
     totals = _dim4_projected_counts(odd)
     best = min(totals)
-    assert embed_dim4(m).added == ref_dim4_added(
+    assert embed(m, allow_rank_deficient=True).added == ref_dim4_added(
         odd, totals.index(best) + 1, TIE4_INTERSECT
     )
     for s0 in (s + 1 for s, tot in enumerate(totals) if tot == best):
         for tie4 in ("intersect", "difference"):
-            rep = embed_dim4(m, EmbedPolicy(s0=s0, tie4=tie4))
+            rep = embed(m, EmbedPolicy(s0=s0, tie4=tie4), allow_rank_deficient=True)
             assert rep.added == ref_dim4_added(odd, s0, tie4)
             assert gram(rep.output).is_zero()
 
@@ -334,7 +348,7 @@ def ref_embed_recursive(g):
                 added.append((k, column_index(col2)))
         peeled.append((j0, cur.rows[j0]))
         cur = cur.delete_row(j0)
-    rep4 = embed_dim4(cur)
+    rep4 = embed(cur, allow_rank_deficient=True)
     added.extend(rep4.added)
     out_rows = list(rep4.output.rows)
     for pos, row in reversed(peeled):
@@ -360,7 +374,7 @@ def peel_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(peel_inputs())
 def test_peel_matches_row_based_reference(m):
-    rep = embed_recursive(m)
+    rep = embed(m, allow_rank_deficient=True)
     assert (rep.added, rep.output) == ref_embed_recursive(m)
 
 
@@ -377,7 +391,7 @@ def test_k5_peel_over_every_gram_matrix():
         assert _gram_mask(m) == syndrome
         need = leader.bit_count()
         assert need <= 5
-        rep = embed_recursive(m)
+        rep = embed(m, allow_rank_deficient=True)
         excess[rep.added_count - need] += 1
         most = max(most, rep.added_count)
     assert most == MAX_ADDED[5]
