@@ -67,9 +67,9 @@ class SeedRegistry:
     @classmethod
     def load(cls, seed_dir: Path | None = None) -> "SeedRegistry":
         root = seed_dir if seed_dir is not None else default_seed_dir()
-        entries: dict[tuple[int, int, bool], SeedEntry] = {}
         if not root.is_dir():
-            return cls(entries)
+            raise MatrixParseError(f"seed directory {root} is not a directory")
+        entries: dict[tuple[int, int, bool], SeedEntry] = {}
         for meta_path in sorted(root.glob("k*/*/t*.json")):
             try:
                 meta = json.loads(meta_path.read_text())

@@ -7,7 +7,8 @@ class SoEmbedError(Exception):
 
 class MatrixParseError(SoEmbedError):
     """Base class for matrix text parsing failures; also raised when a
-    matrix file or a seed file cannot be read or parsed."""
+    matrix file or a seed file cannot be read or parsed, or the seed
+    directory is missing."""
 
 
 class EmptyInputError(MatrixParseError):

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -198,32 +199,48 @@ def _gray_codewords(basis: Sequence[int]) -> Iterable[int]:
         yield cw
 
 
+def _capped_basis(m: BinaryMatrix, allow_large: bool) -> list[int]:
+    """A row-space basis, refused past RANK_CAP unless allow_large is set."""
+    basis = row_basis(m)
+    if len(basis) > RANK_CAP and not allow_large:
+        raise CapExceededError(
+            f"rank {len(basis)} > RANK_CAP = {RANK_CAP}: 2^{len(basis)} codewords"
+        )
+    return basis
+
+
 def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
     """Minimum weight over the nonzero row space.
 
-    Rank-deficient input is fine: the search runs over a row-space basis.
-    It is a Brouwer-Zimmermann search over information sets while that is
-    estimated to be cheaper than the split-table walk of all 2**rank
-    codewords, and that walk otherwise (see _bz_min_weight).
+    Rank-deficient input is fine: the search runs over a row-space basis of
+    rank r.  Two walks visit all 2**r codewords, the split-table walk and
+    the bit-sliced walk, and the one estimated cheaper from r and n runs,
+    unless a Brouwer-Zimmermann search over information sets settles the
+    minimum for less (see _bz_min_weight).
+
+    A rank above RANK_CAP raises CapExceededError, because a walk would
+    visit 2**rank codewords; allow_large=True lifts the cap.
     """
-    basis = row_basis(m)
+    basis = _capped_basis(m, allow_large)
     if not basis:
         raise ZeroCodeError("the zero code has no minimum distance")
-    if len(basis) > RANK_CAP and not allow_large:
-        raise CapExceededError(
-            f"rank {len(basis)} > {RANK_CAP}; pass allow_large=True to force"
-        )
-    d = _bz_min_weight(basis, m.n, 1 << len(basis))
-    return _table_min_weight(basis) if d is None else d
+    table_cost = 1 << len(basis)
+    sliced_cost = _sliced_cost(len(basis), m.n)
+    d = _bz_min_weight(basis, m.n, min(table_cost, sliced_cost))
+    if d is not None:
+        return d
+    if sliced_cost < table_cost:
+        return _sliced_min_weight(basis, m.n)
+    return _table_min_weight(basis)
 
 
 def weight_distribution(m: BinaryMatrix, allow_large: bool = False) -> dict[int, int]:
-    """Map weight -> number of codewords, over all 2**rank codewords."""
-    basis = row_basis(m)
-    if len(basis) > RANK_CAP and not allow_large:
-        raise CapExceededError(
-            f"rank {len(basis)} > {RANK_CAP}; pass allow_large=True to force"
-        )
+    """Map weight -> number of codewords, over all 2**rank codewords.
+
+    A rank above RANK_CAP raises CapExceededError; allow_large=True lifts
+    the cap.
+    """
+    basis = _capped_basis(m, allow_large)
     table, high = _split_table(basis)
     counts = Counter(map(int.bit_count, table))
     for h in _gray_codewords(high):
@@ -232,9 +249,11 @@ def weight_distribution(m: BinaryMatrix, allow_large: bool = False) -> dict[int,
 
 
 # ---------------------------------------------------------------------------
-# Codeword search.  Both paths keep the per-codeword work (XOR, popcount, min
-# or count) inside map/min/Counter, so it runs in C; Python only loops over
-# groups of codewords.
+# Codeword search.  The split-table walk and the Brouwer-Zimmermann search
+# keep the per-codeword work (XOR, popcount, min or count) inside
+# map/min/Counter, so it runs in C; Python only loops over groups of
+# codewords.  The bit-sliced walk instead gives each codeword one bit of
+# every int it works on, so one big-int operation serves 2**L codewords.
 
 # The split-table walk tabulates the span of at most this many basis rows.
 _TABLE_BITS = 10
@@ -265,6 +284,177 @@ def _table_min_weight(basis: Sequence[int]) -> int:
     for h in _gray_codewords(high):
         best = min(best, min(map(bc, map(h.__xor__, table))))
     return best
+
+
+# The bit-sliced walk has 2**L lanes.  L is the largest width at which the
+# lane vectors held at once, one per column group and as many in flight,
+# total at most this many bits (1 MiB).
+_LANE_MEMORY_BITS = 1 << 23
+# Vectors that one level of the carry-save counter gathers before adding.
+_CSA_CHUNK = 16
+
+
+def _lane_bits(r: int, n: int) -> int:
+    """Lane width L of the bit-sliced walk of a rank-r code of length n."""
+    lanes = r
+    while 2 * min(n, 1 << lanes) << lanes > _LANE_MEMORY_BITS:
+        lanes -= 1
+    return lanes
+
+
+def _lane_groups(low: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """(columns, lane vector) for each pattern that the low rows put on a
+    column, over the columns with that pattern.
+
+    The column set is split by each low row in turn, depth-first, dropping
+    empty parts, as profiles._column_counts does.  A part's lane vector is
+    the XOR of _index_bit_mask(L, i) over the rows i where it has a 1, so
+    its bit x is the part's bit in the combination x of the low rows.
+    """
+    lanes = len(low)
+    bits = [_index_bit_mask(lanes, i) for i in range(lanes)]
+    groups = []
+    stack = [(0, 0, (1 << n) - 1)]  # (rows split so far, lane vector, columns)
+    while stack:
+        pos, vec, cols = stack.pop()
+        if pos == lanes:
+            groups.append((cols, vec))
+            continue
+        ones = cols & low[pos]
+        zeros = cols ^ ones
+        if zeros:
+            stack.append((pos + 1, vec, zeros))
+        if ones:
+            stack.append((pos + 1, vec ^ bits[pos], ones))
+    return groups
+
+
+def _full_adders(pending: list[int]) -> list[int]:
+    """Replace each three vectors at the head of pending by their bitwise
+    sum, and return their bitwise carries."""
+    k = len(pending) // 3
+    a, b, c = pending[:k], pending[k : 2 * k], pending[2 * k : 3 * k]
+    x = list(map(xor, a, b))
+    pending[: 3 * k] = map(xor, x, c)
+    return list(map(or_, map(and_, a, b), map(and_, x, c)))
+
+
+def _carry_save_add(counter: list[list[int]], level: int, vectors: list[int]) -> None:
+    """Add vectors of weight 2**level to a bit-sliced counter.
+
+    counter[t] holds vectors of weight 2**t not yet added up.  Once a level
+    holds 3 * _CSA_CHUNK of them, full adders turn each three into one at
+    that level and a carry one level up, so few vectors are in flight.
+    """
+    while vectors:
+        while len(counter) <= level:
+            counter.append([])
+        pending = counter[level]
+        pending += vectors
+        if len(pending) < 3 * _CSA_CHUNK:
+            return
+        vectors = _full_adders(pending)
+        level += 1
+
+
+def _carry_save_planes(counter: list[list[int]]) -> list[int]:
+    """Bit planes of the counter's total: plane t holds bit t of each lane."""
+    planes = []
+    level = 0
+    while level < len(counter):
+        pending = counter[level]
+        while len(pending) > 1:
+            if len(pending) == 2:
+                pending.append(0)
+            _carry_save_add(counter, level + 1, _full_adders(pending))
+        planes.append(pending[0] if pending else 0)
+        level += 1
+    return planes
+
+
+def _min_lane(planes: Sequence[int], lanes: int) -> int:
+    """Least value that the bit planes hold in the lanes set in lanes."""
+    least = 0
+    for t in range(len(planes) - 1, -1, -1):
+        zero = lanes & ~planes[t]
+        if zero:
+            lanes = zero
+        else:
+            least |= 1 << t
+    return least
+
+
+def _sliced_min_weight(basis: Sequence[int], n: int) -> int:
+    """Minimum nonzero weight by the bit-sliced walk of all 2**r codewords.
+
+    Lane x is the combination x of the low L basis rows, and bit x of each
+    vector belongs to it.  The span of the other rows is walked in Gray
+    order, one XOR per codeword h.  A group of s columns on which the low
+    rows put the same pattern, with lane vector V, adds V to each lane
+    s - a times and its complement a times, a being h's weight on the
+    group: that is, min(a, s - a) to every lane and |s - 2a| times V or
+    its complement.  These go into a carry-save counter, each set bit of a
+    multiplicity at its own level, and the least lane is read off the bit
+    planes; lane 0 at h = 0 is the zero codeword and is left out.
+    """
+    lanes = _lane_bits(len(basis), n)
+    full = (1 << (1 << lanes)) - 1
+    singles, multiples, flat = [], [], 0
+    for cols, vec in _lane_groups(basis[:lanes], n):
+        if not vec:
+            flat = cols  # the low rows are 0 here, so every lane has h's bits
+        elif cols & (cols - 1):
+            multiples.append((cols, cols.bit_count(), vec))
+        else:
+            singles.append((cols, vec))
+    high = basis[lanes:]
+    best = n
+    h = 0
+    for t in range(1 << len(high)):
+        if t:
+            h ^= high[(t & -t).bit_length() - 1]
+        base = (flat & h).bit_count()
+        if base >= best:
+            continue
+        counter: list[list[int]] = []
+        # a group of one column adds its vector or the complement, once
+        for i in range(0, len(singles), _CSA_CHUNK):
+            chunk = singles[i : i + _CSA_CHUNK]
+            _carry_save_add(counter, 0, [v ^ full if c & h else v for c, v in chunk])
+        for cols, s, vec in multiples:
+            a = (cols & h).bit_count()
+            base += min(a, s - a)
+            if 2 * a > s:
+                vec ^= full
+            d = abs(s - 2 * a)
+            for level in range(d.bit_length()):
+                if d >> level & 1:
+                    _carry_save_add(counter, level, [vec])
+        planes = _carry_save_planes(counter)
+        best = min(best, base + _min_lane(planes, full if t else full ^ 1))
+    return best
+
+
+# Cost model of _sliced_min_weight, in the unit of _bz_min_weight: one
+# codeword of the table walk, whose map work on n-bit ints costs
+# 1 + n / _TABLE_COLUMNS times as much as on short ones.  The Python
+# overhead of one vector added to the counter, or of one part of the lane
+# split, is _PART_COST units, and one bit operation on _LANES_PER_UNIT
+# lanes costs as much as a codeword of a short code.
+_PART_COST = 4
+_LANES_PER_UNIT = 1700
+_TABLE_COLUMNS = 1330
+
+
+def _sliced_cost(r: int, n: int) -> float:
+    """Estimated cost of _sliced_min_weight; the table walk costs 2**r."""
+    lanes = _lane_bits(r, n)
+    inputs = min(n, 1 << lanes) << (r - lanes)  # one per group and Gray step
+    # at most min(2**pos, n) parts at depth pos = 0 .. lanes of the split
+    doubling = min(lanes + 1, n.bit_length())
+    parts = (1 << doubling) - 1 + (lanes + 1 - doubling) * n
+    lane_work = inputs * (1 << lanes) / (_LANES_PER_UNIT * (1 + n / _TABLE_COLUMNS))
+    return _PART_COST * (inputs + parts) + lane_work
 
 
 def _subset_xors(rows: Sequence[int], t: int) -> list[int]:

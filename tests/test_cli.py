@@ -141,6 +141,16 @@ def test_dmin(hamming_file, capsys):
     assert "dmin=3" in capsys.readouterr().out
 
 
+def test_dmin_past_rank_cap(tmp_path, capsys):
+    # the refusal names the work, not a library argument the CLI lacks
+    p = tmp_path / "tall.txt"
+    p.write_text(random_full_rank_matrix(random.Random(41), 41, 50).to_text())
+    assert main(["dmin", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank 41 > RANK_CAP = 40: 2^41 codewords\n"
+
+
 def test_formula(capsys):
     assert main(["formula", "--n", "44", "--k", "5", "--so"]) == 0
     assert "20 (conjectured" in capsys.readouterr().out
@@ -174,6 +184,17 @@ def test_build(capsys):
 
 def test_build_missing_seed(capsys):
     assert main(["build", "--n", "34", "--k", "5", "--so"]) == 1
+
+
+def test_build_missing_seed_dir(tmp_path, monkeypatch, capsys):
+    # a mistyped seed directory is an I/O error, not a missing seed
+    nowhere = tmp_path / "nowhere"
+    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(nowhere))
+    monkeypatch.setattr(constructions, "_REGISTRY", None)
+    assert main(["build", "--n", "23", "--k", "4", "--so"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(nowhere) in captured.err
 
 
 SEED_META = {"t": 7, "k": 3, "so": True, "declared_d": 4}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import xor
@@ -24,7 +25,9 @@ from soembed.gf2 import (
     BinaryMatrix,
     LinearCode,
     _bz_min_weight,
+    _lane_bits,
     _level_min_weight,
+    _sliced_min_weight,
     _systematic_form,
     _table_min_weight,
     gram,
@@ -147,8 +150,11 @@ def test_min_distance_zero_code():
 
 def test_min_distance_cap():
     eye41 = BinaryMatrix(41, 41, tuple(1 << i for i in range(41)))
-    with pytest.raises(CapExceededError):
+    message = r"^rank 41 > RANK_CAP = 40: 2\^41 codewords$"
+    with pytest.raises(CapExceededError, match=message):
         min_distance(eye41)
+    with pytest.raises(CapExceededError, match=message):
+        weight_distribution(eye41)
 
 
 def test_weight_distribution():
@@ -233,7 +239,7 @@ def test_linear_code_caching():
 
 
 # ---------------------------------------------------------------------------
-# The two minimum-weight paths, each checked on its own so that the choice
+# The three minimum-weight paths, each checked on its own so that the choice
 # between them cannot hide a broken one.
 
 SEARCH_SETTINGS = settings(max_examples=80, deadline=None)
@@ -297,6 +303,85 @@ def test_table_walk_matches_naive(m):
 
 @SEARCH_SETTINGS
 @given(codes())
+@example(RANK_12)
+def test_sliced_walk_matches_naive(m):
+    assert _sliced_min_weight(row_basis(m), m.n) == naive_min_distance(m)
+
+
+def _repeated_columns(rng, r, n, copies):
+    """A random r x (copies * n) matrix made of copies of one r x n block."""
+    block = random_full_rank_matrix(rng, r, n)
+    return BinaryMatrix(
+        r,
+        copies * n,
+        tuple(sum(row << (n * c) for c in range(copies)) for row in block.rows),
+    )
+
+
+def _lightest_on_flat_columns():
+    """11 random rows on columns 400..1199, and a row one lighter than
+    anything in their span, on columns 0..399 where they all vanish.
+
+    The light row comes last in the basis, so it is walked, not a lane.
+    """
+    rng = random.Random(1200)
+    low = [rng.getrandbits(800) << 400 for _ in range(11)]
+    w = _table_min_weight(row_basis(BinaryMatrix(11, 1200, tuple(low)))) - 1
+    return BinaryMatrix(12, 1200, tuple(low + [(1 << w) - 1]))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        random_full_rank_matrix(random.Random(121100), 12, 1100),
+        random_full_rank_matrix(random.Random(142100), 14, 2100),
+        # every low-row pattern on many columns: multiplicities past 1
+        _repeated_columns(random.Random(13700), 13, 700, 3),
+        # the lightest word is met where its weight on those columns alone
+        # is one below the lightest weight seen before
+        _lightest_on_flat_columns(),
+    ],
+    ids=["12x1100", "14x2100", "13x700x3", "flat-columns"],
+)
+def test_sliced_walk_with_several_lane_blocks(m):
+    # wide enough that the lane vectors are capped below the rank, so the
+    # walk steps through the span of the rows left over
+    basis = row_basis(m)
+    assert _lane_bits(len(basis), m.n) < len(basis)
+    assert _sliced_min_weight(basis, m.n) == _table_min_weight(basis)
+
+
+@pytest.mark.parametrize(
+    "r, n", [(12, 2000), (16, 128), (16, 256), (16, 1000), (20, 64)]
+)
+def test_min_distance_at_crossover_shapes(r, n):
+    # near the points where the cheapest search changes, every path agrees
+    m = random_full_rank_matrix(random.Random(1000 * r + n), r, n)
+    basis = row_basis(m)
+    expect = _table_min_weight(basis)
+    assert min_distance(m) == expect
+    assert _sliced_min_weight(basis, n) == expect
+
+
+@pytest.mark.parametrize(
+    "r, n, seed, dmin", [(20, 256, 20256, 88), (16, 2000, 162000, 894)]
+)
+def test_min_distance_memory(r, n, seed, dmin):
+    # the bit-sliced walk holds at most 1 MiB of lane vectors
+    m = random_full_rank_matrix(random.Random(seed), r, n)
+    tracemalloc.start()
+    try:
+        d = min_distance(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+    # 88 is also what the CI step's `so-embed dmin` must print for 20 x 256
+    assert d == dmin
+
+
+@SEARCH_SETTINGS
+@given(codes())
 # The bound here is met exactly by a codeword not yet seen: stopping one
 # step early returns 3 instead of 2.
 @example(parse_matrix("00111\n11111\n01011\n11111"))
@@ -349,3 +434,4 @@ def test_min_distance_deep_sized_case():
     assert min_distance(m) == 14
     assert _bz_min_weight(basis, m.n, math.inf) == 14
     assert _table_min_weight(basis) == 14
+    assert _sliced_min_weight(basis, m.n) == 14
