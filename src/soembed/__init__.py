@@ -17,7 +17,6 @@ from .distances import (
     d_opt,
     dso_opt,
     griesmer_g,
-    griesmer_search,
     griesmer_upper,
     make_table,
 )
@@ -46,12 +45,9 @@ from .errors import (
 )
 from .gf2 import (
     BinaryMatrix,
-    LinearCode,
     gram,
     h_column,
     horizontal_join,
-    inner_product,
-    is_self_orthogonal,
     min_distance,
     parse_matrix,
     rank,
@@ -68,16 +64,12 @@ from .oracle import (
 )
 from .profiles import (
     ColumnProfile,
-    ParitySets,
-    column_index,
     column_profile,
-    intersection_parity,
     is_so_dim2,
     is_so_dim3,
     is_so_dim4,
     is_so_profile,
     matrix_from_profile,
-    parity_sets,
 )
 from .tables import verify_sigma_symmetry
 

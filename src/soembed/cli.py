@@ -36,7 +36,7 @@ def _read_matrix(path: str) -> BinaryMatrix:
 def cmd_check(args) -> int:
     m = _read_matrix(args.file)
     prof = profiles.column_profile(m)
-    verdicts = profiles._so_verdicts(m, prof)
+    verdicts = profiles.so_verdicts(m, prof)
     print(f"n={m.n} k={m.k} rank={rank(m)}")
     nonzero = {i: c for i, c in enumerate(prof.ell, start=1) if c}
     print(f"profile: zero_count={prof.zero_count} ell={nonzero}")

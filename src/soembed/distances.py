@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from .errors import DomainError, NoSOCodeError
 
 STATUS_EXACT = "exact"
-STATUS_UPPER_BOUND = "upper_bound"
 STATUS_CONJECTURED = "conjectured"
 STATUS_WITNESS = "witness"
 
-_STATUSES = frozenset(
-    (STATUS_EXACT, STATUS_UPPER_BOUND, STATUS_CONJECTURED, STATUS_WITNESS)
-)
+_STATUSES = frozenset((STATUS_EXACT, STATUS_CONJECTURED, STATUS_WITNESS))
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,12 @@ _LIN5_BELOW_GRIESMER = frozenset({8, 9, 12, 13})
 # The dimension-5 residues mod 31 the self-orthogonal formula leaves open.
 _SO5_OPEN_MOD31 = frozenset({6, 13, 14, 21, 22, 28, 29})
 
+# (n, k) -> penalty on top of the residue's, at lengths no residue rule
+# reaches: [13,4], [13,5], and [10,5].  An SO [10,5] code is self-dual, and
+# both self-dual codes of length 10, i2^5 and e8 + i2, have d = 2 (Pless
+# 1972); the residue-10 penalty still holds at n = 41.
+_SO_NAMED = {(13, 4): 2, (13, 5): 2, (10, 5): 2}
+
 # Lengths up to here have fully classified self-orthogonal codes, so the
 # open dimension-5 residues are still exact values below this bound.
 SO5_CLASSIFIED_MAX_N = 40
@@ -88,16 +91,6 @@ def griesmer_g(k: int, d: int) -> int:
     if k < 1 or d < 1:
         raise DomainError("need k >= 1 and d >= 1")
     return sum((d + (1 << i) - 1) // (1 << i) for i in range(k))
-
-
-def griesmer_search(n: int, k: int) -> int:
-    """Largest d with griesmer_g(k, d) <= n, by direct search."""
-    if k < 1 or n < k:
-        raise DomainError("need 1 <= k <= n")
-    d = 1
-    while griesmer_g(k, d + 1) <= n:
-        d += 1
-    return d
 
 
 def griesmer_upper(n: int, k: int) -> int:
@@ -141,9 +134,7 @@ def dso_opt(n: int, k: int) -> DistanceValue:
         if n <= SO5_CLASSIFIED_MAX_N:
             return DistanceValue(value, STATUS_EXACT, "dim5-so-classified")
         return DistanceValue(value, STATUS_CONJECTURED, "dim5-so-conjecture")
-    value = _formula(n, k, _SO)
-    if n == 13 and k >= 4:
-        value -= 2  # [13,4] and [13,5]: no residue rule reaches them
+    value = _formula(n, k, _SO) - _SO_NAMED.get((n, k), 0)
     source = "dim1-so" if k == 1 else f"dim{k}-so-formula"
     return DistanceValue(value, STATUS_EXACT, source)
 

@@ -7,10 +7,9 @@ immutable, so every operation returns a new matrix.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from operator import and_, or_, xor
 from typing import Iterable, Sequence
@@ -89,25 +88,6 @@ class BinaryMatrix:
         return self.to_text()
 
 
-class LinearCode:
-    """A binary linear code given by a generator matrix, with cached params."""
-
-    def __init__(self, gen: BinaryMatrix):
-        self.gen = gen
-
-    @cached_property
-    def rank(self) -> int:
-        return rank(self.gen)
-
-    @cached_property
-    def dmin(self) -> int:
-        return min_distance(self.gen)
-
-    @property
-    def n(self) -> int:
-        return self.gen.n
-
-
 def _row_text(r: int, n: int) -> str:
     """Row bits as 0/1 characters, column 0 first."""
     return format(r, f"0{n}b")[::-1] if n else ""
@@ -163,11 +143,32 @@ def rank(m: BinaryMatrix) -> int:
     return len(row_basis(m))
 
 
-def inner_product(u: Sequence[int], v: Sequence[int]) -> int:
-    """Ordinary inner product of two bit vectors, mod 2."""
-    if len(u) != len(v):
-        raise LengthMismatchError(f"lengths {len(u)} and {len(v)} differ")
-    return sum(a & b for a, b in zip(u, v)) & 1
+def _split_columns(
+    rows: Sequence[int], n: int, tags: Sequence[int]
+) -> list[tuple[int, int]]:
+    """(tag, columns) for each pattern that rows put on a column of n.
+
+    columns is the n-bit mask of the columns with that pattern, and tag the
+    XOR of tags[pos] over the rows pos with a 1 there.  The column set is
+    split by each row in turn into the columns with a 0 and those with a 1
+    there, depth-first, dropping empty parts: at most len(rows) + 1 parts
+    are alive, and the cost is at most sum(min(2**pos, n)) whole-int ANDs.
+    """
+    depth = len(rows)
+    parts = []
+    stack = [(0, 0, (1 << n) - 1)]  # (rows split so far, tag, columns)
+    while stack:
+        pos, tag, cols = stack.pop()
+        if pos == depth:
+            parts.append((tag, cols))
+            continue
+        ones = cols & rows[pos]
+        zeros = cols ^ ones
+        if zeros:
+            stack.append((pos + 1, tag, zeros))
+        if ones:
+            stack.append((pos + 1, tag ^ tags[pos], ones))
+    return parts
 
 
 def _row_ip(a: int, b: int) -> int:
@@ -184,11 +185,6 @@ def gram(m: BinaryMatrix) -> BinaryMatrix:
             acc |= _row_ip(m.rows[i], m.rows[j]) << j
         out.append(acc)
     return BinaryMatrix(m.k, m.k, tuple(out))
-
-
-def is_self_orthogonal(m: BinaryMatrix) -> bool:
-    """True iff the Gram matrix is zero (the row space is in its dual)."""
-    return gram(m).is_zero()
 
 
 def _gray_codewords(basis: Sequence[int]) -> Iterable[int]:
@@ -302,33 +298,6 @@ def _lane_bits(r: int, n: int) -> int:
     return lanes
 
 
-def _lane_groups(low: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """(columns, lane vector) for each pattern that the low rows put on a
-    column, over the columns with that pattern.
-
-    The column set is split by each low row in turn, depth-first, dropping
-    empty parts, as profiles._column_counts does.  A part's lane vector is
-    the XOR of _index_bit_mask(L, i) over the rows i where it has a 1, so
-    its bit x is the part's bit in the combination x of the low rows.
-    """
-    lanes = len(low)
-    bits = [_index_bit_mask(lanes, i) for i in range(lanes)]
-    groups = []
-    stack = [(0, 0, (1 << n) - 1)]  # (rows split so far, lane vector, columns)
-    while stack:
-        pos, vec, cols = stack.pop()
-        if pos == lanes:
-            groups.append((cols, vec))
-            continue
-        ones = cols & low[pos]
-        zeros = cols ^ ones
-        if zeros:
-            stack.append((pos + 1, vec, zeros))
-        if ones:
-            stack.append((pos + 1, vec ^ bits[pos], ones))
-    return groups
-
-
 def _full_adders(pending: list[int]) -> list[int]:
     """Replace each three vectors at the head of pending by their bitwise
     sum, and return their bitwise carries."""
@@ -400,7 +369,10 @@ def _sliced_min_weight(basis: Sequence[int], n: int) -> int:
     lanes = _lane_bits(len(basis), n)
     full = (1 << (1 << lanes)) - 1
     singles, multiples, flat = [], [], 0
-    for cols, vec in _lane_groups(basis[:lanes], n):
+    # a group's lane vector has bit x set iff the group's pattern has a 1
+    # in the combination x of the low rows
+    tags = [_index_bit_mask(lanes, i) for i in range(lanes)]
+    for vec, cols in _split_columns(basis[:lanes], n, tags):
         if not vec:
             flat = cols  # the low rows are 0 here, so every lane has h's bits
         elif cols & (cols - 1):
@@ -662,23 +634,3 @@ def random_full_rank_matrix(rng, k: int, n: int) -> BinaryMatrix:
         m = random_matrix(rng, k, n)
         if rank(m) == k:
             return m
-
-
-def naive_min_distance(m: BinaryMatrix) -> int:
-    """Reference minimum distance: all nonzero row combinations, dedup'd.
-
-    Exists as an independent check for the min_distance searches.  It XORs
-    up to k rows for each of the 2**k row combinations, k * 2**k XORs in
-    all, so it is only for small matrices.
-    """
-    seen = set()
-    for picks in itertools.product((0, 1), repeat=m.k):
-        cw = 0
-        for b, r in zip(picks, m.rows):
-            if b:
-                cw ^= r
-        seen.add(cw)
-    seen.discard(0)
-    if not seen:
-        raise ZeroCodeError("the zero code has no minimum distance")
-    return min(c.bit_count() for c in seen)

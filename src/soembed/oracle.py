@@ -224,39 +224,6 @@ def targeted_profile(n: int, k: int, d: int, so_only: bool) -> ColumnProfile | N
     return _search_profile(n, k, d, _so_parity_masks(k) if so_only else None)
 
 
-def enumerate_codes_naive(
-    n: int, k: int, so_only: bool = False
-) -> EnumerationResult:
-    """Reference implementation: literally iterate every composition.
-
-    Only usable for small spaces; cross-checks the pruned search.
-    """
-    best: tuple[int, ColumnProfile] | None = None
-    for ell in _compositions_at_most(n, (1 << k) - 1):
-        dmin = min(_profile_weights(k, (0, *ell))[1:])
-        if dmin == 0:
-            continue
-        prof = ColumnProfile(k, ell, n - sum(ell))
-        if so_only and not _is_so_odd_mask(k, prof.parity_mask()):
-            continue
-        if best is None or dmin > best[0]:
-            best = (dmin, prof)
-    if best is None:
-        kind = "self-orthogonal " if so_only else ""
-        raise NoSOCodeError(f"no rank-{k} {kind}code of length {n} exists")
-    return EnumerationResult(best[0], best[1])
-
-
-def _compositions_at_most(total: int, parts: int):
-    """All nonnegative integer vectors of given length with sum <= total."""
-    if parts == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions_at_most(total - head, parts - 1):
-            yield (head,) + tail
-
-
 # ---------------------------------------------------------------------------
 # the dimension-4 worst-case pattern sweep
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CapExceededError, IndexOutOfRangeError, WrongDimensionError
+from .errors import CapExceededError, WrongDimensionError
 from .gf2 import (
     BinaryMatrix,
     _hit_masks,
     _index_bit_mask,
     _row_ip,
+    _split_columns,
     gram,
     h_column,
     horizontal_join,
@@ -69,26 +70,6 @@ class ColumnProfile:
         return int("".join("01"[c & 1] for c in reversed(self.ell)) + "0", 2)
 
 
-@dataclass(frozen=True)
-class ParitySets:
-    """Indices with even (J0) and odd (J1) column multiplicity."""
-
-    j0: frozenset[int]
-    j1: frozenset[int]
-
-
-def column_index(col: tuple[int, ...] | list[int]) -> int:
-    """Integer index of a binary column; top entry is the most significant bit.
-
-    The zero column maps to 0; otherwise the result i satisfies
-    col == h_column(k, i).
-    """
-    acc = 0
-    for b in col:
-        acc = (acc << 1) | (b & 1)
-    return acc
-
-
 def column_profile(m: BinaryMatrix) -> ColumnProfile:
     """Count each nonzero column pattern of m; zero columns counted apart."""
     counts = _column_counts(m)
@@ -99,28 +80,16 @@ def column_profile(m: BinaryMatrix) -> ColumnProfile:
 def _column_counts(m: BinaryMatrix) -> list[int]:
     """counts[i] = number of columns of m with index i (i = 0: zero columns).
 
-    The set of columns (an n-bit mask) is split by each row in turn into
-    the columns with a 0 and those with a 1 there; after the last row each
-    part holds the columns of one index, so its popcount is the multiplicity.
-    The split runs depth-first and drops empty parts, which keeps at most
-    k + 1 parts alive and costs at most sum(min(2**pos, n)) whole-int ANDs.
-    The 2**k counts are refused above k = PROFILE_K_CAP.
+    One depth-first split of the columns by the rows (gf2._split_columns),
+    each row tagged with its bit of the column index.  The 2**k counts are
+    refused above k = PROFILE_K_CAP.
     """
     if m.k > PROFILE_K_CAP:
         raise CapExceededError(f"column profile supports k <= {PROFILE_K_CAP}")
     counts = [0] * (1 << m.k)
-    stack = [(0, 0, (1 << m.n) - 1)]  # (rows split so far, index prefix, columns)
-    while stack:
-        pos, idx, cols = stack.pop()
-        if pos == m.k:
-            counts[idx] = cols.bit_count()
-            continue
-        ones = cols & m.rows[pos]
-        zeros = cols ^ ones
-        if zeros:
-            stack.append((pos + 1, idx << 1, zeros))
-        if ones:
-            stack.append((pos + 1, idx << 1 | 1, ones))
+    tags = [1 << (m.k - 1 - pos) for pos in range(m.k)]
+    for idx, cols in _split_columns(m.rows, m.n, tags):
+        counts[idx] = cols.bit_count()
     return counts
 
 
@@ -134,30 +103,6 @@ def _bit_masks(k: int) -> tuple[int, ...]:
     return tuple(_index_bit_mask(k, b) for b in range(k))
 
 
-def _pair_mask(k: int, j: int, j2: int) -> int:
-    """Mask over indices 1 .. 2**k - 1 whose bits j-1 and j2-1 are both set."""
-    masks = _bit_masks(k)
-    return masks[j - 1] & masks[j2 - 1]
-
-
-def intersection_parity(m: BinaryMatrix, j: int, j2: int) -> int:
-    """Parity of the number of columns with 1s in both bit positions j, j2.
-
-    Positions count from the bottom of a column (j = 1 is the last row).
-    Computed both from the profile and as a row inner product; the two
-    always agree, and disagreement would mean corrupted state.
-    """
-    if not (1 <= j <= j2 <= m.k):
-        raise IndexOutOfRangeError(f"need 1 <= j <= j2 <= {m.k}")
-    from_rows = _row_ip(m.rows[m.k - j], m.rows[m.k - j2])
-    # The sum of the multiplicities in the pair mask has the parity of the
-    # number of odd ones among them.
-    odd_in_pair = column_profile(m).parity_mask() & _pair_mask(m.k, j, j2)
-    if (odd_in_pair.bit_count() & 1) != from_rows:
-        raise AssertionError("profile and row inner product disagree")
-    return from_rows
-
-
 def is_so_profile(m: BinaryMatrix) -> bool:
     """Self-orthogonality via column statistics, any dimension.
 
@@ -165,12 +110,7 @@ def is_so_profile(m: BinaryMatrix) -> bool:
     every pair of bit positions (including a position with itself) must be
     jointly set in an even number of columns.
     """
-    return _is_so_parity(column_profile(m))
-
-
-def _is_so_parity(p: ColumnProfile) -> bool:
-    """is_so_profile on a profile already built."""
-    return _is_so_odd_mask(p.k, p.parity_mask())
+    return _is_so_odd_mask(m.k, column_profile(m).parity_mask())
 
 
 def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
@@ -219,23 +159,12 @@ def is_so_dim_check(p: ColumnProfile) -> bool:
     raise WrongDimensionError(f"no closed-form test for dimension {p.k}")
 
 
-def parity_sets(p: ColumnProfile) -> ParitySets:
-    """Split indices 1 .. 2**k - 1 by multiplicity parity."""
-    j1 = frozenset(i for i in range(1, (1 << p.k)) if p.count(i) & 1)
-    j0 = frozenset(range(1, (1 << p.k))) - j1
-    return ParitySets(j0=j0, j1=j1)
-
-
-def so_verdicts(m: BinaryMatrix) -> dict[str, bool]:
-    """All applicable self-orthogonality verdicts for a matrix."""
-    return _so_verdicts(m, column_profile(m))
-
-
-def _so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
-    """so_verdicts with m's column profile p already built."""
+def so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
+    """All applicable self-orthogonality verdicts for m, whose column
+    profile p the caller has built."""
     out = {
         "gram_zero": gram(m).is_zero(),
-        "column_test": _is_so_parity(p),
+        "column_test": _is_so_odd_mask(p.k, p.parity_mask()),
     }
     if 2 <= m.k <= 4:
         out[f"dim{m.k}_test"] = is_so_dim_check(p)
@@ -349,16 +278,12 @@ def _so_parity_masks(k: int) -> tuple[int, ...]:
 
 __all__ = [
     "ColumnProfile",
-    "ParitySets",
-    "column_index",
     "column_profile",
-    "intersection_parity",
     "is_so_profile",
     "is_so_dim2",
     "is_so_dim3",
     "is_so_dim4",
     "is_so_dim_check",
     "matrix_from_profile",
-    "parity_sets",
     "so_verdicts",
 ]

@@ -317,13 +317,14 @@ def test_tables_dump_pinned(capsys):
 
 
 # sha256 of `so-embed table --k K --from S --to 400 --format md`, S the first
-# length with a self-orthogonal code, as the residue-set formulas printed it
+# length with a self-orthogonal code, as the residue-set formulas printed it;
+# for k = 5, with the row n = 10 corrected from 4 to 2 (see dso_opt)
 TABLE_MD_SHA256 = {
     1: (2, "58a65dbca5ecde6c5f7be9be7a8a3f8b5c397289c5e30f187e30eb69fd980ec6"),
     2: (4, "ca1f861c9dfe0a0405ceb81a345a4a1dee1bcbc5269cdd299f1c097c97ea18b8"),
     3: (6, "30b0aacb0f68ed2b029ff3f257ac3c157a91635ac41bfcdb5188bb98cf91f208"),
     4: (8, "15733b9bdfea1b6975af0f2e01fe282d7e06be7b95e0a48c8a0e96c19f192317"),
-    5: (10, "f9e7bc44c72ef44bfde56b93a6079271012bb1d98bc1797c63c3f3921a8cbb9c"),
+    5: (10, "fc881a4926bf6e8c1a06178e23e037cecd5d248a72f5873455587cd76f02b484"),
 }
 
 
@@ -334,6 +335,19 @@ def test_table_md_pinned(k, capsys):
     assert main(args + ["--format", "md"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# sha256 of `so-embed table --k 5 --from 10 --to 200 --format csv`, also
+# checked against the installed package in CI
+TABLE5_CSV_SHA256 = "5f0c3aaeb72e13cd4f48232c9a3682a89633ff60591e1c35e3b739e555748e06"
+
+
+def test_table5_csv_pinned(capsys):
+    args = ["table", "--k", "5", "--from", "10", "--to", "200", "--format", "csv"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "10,2,exact,dim5-so-formula"
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE5_CSV_SHA256
 
 
 @pytest.mark.parametrize("k, start", [(1, 1), (4, 4)])

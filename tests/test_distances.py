@@ -11,11 +11,13 @@ from soembed.distances import (
     d_opt,
     dso_opt,
     griesmer_g,
-    griesmer_search,
     griesmer_upper,
     make_table,
 )
 from soembed.errors import DomainError, NoSOCodeError
+from soembed.gf2 import BinaryMatrix, gram, min_distance, rank
+from soembed.oracle import _search_profile
+from soembed.profiles import _so_parity_masks
 
 # ---------------------------------------------------------------------------
 # Reference: the formulas written out branch by branch, one residue set per
@@ -161,6 +163,9 @@ def ref_dso_opt(n, k):
         return (8 * n) // 15 - pen, STATUS_EXACT, "dim4-so-formula"
     if n < 10:
         raise DomainError
+    if n == 10:
+        # self-dual, and both self-dual codes of length 10 have d = 2
+        return 2, STATUS_EXACT, "dim5-so-formula"
     if n != 13 and RESIDUES.in_so5_open(n):
         value = ref_d_opt(n, 5)[0] - 2
         if n <= 40:
@@ -210,12 +215,6 @@ def test_griesmer_upper_examples():
     assert griesmer_upper(31, 5) == 16
 
 
-def test_griesmer_upper_matches_search_sample():
-    for k in range(1, 6):
-        for n in range(k, 200):
-            assert griesmer_upper(n, k) == griesmer_search(n, k), (n, k)
-
-
 def test_d_opt_examples():
     assert d_opt(13, 5).value == 5
     assert d_opt(8, 5).value == 2
@@ -239,6 +238,18 @@ def test_dso_opt_examples():
     assert (v100.value, v100.status) == (50, STATUS_EXACT)
     v44 = dso_opt(44, 5)
     assert (v44.value, v44.status) == (20, STATUS_CONJECTURED)
+
+
+def test_dso_opt_10_5_is_two():
+    # An SO [10,5] code is self-dual.  The published table gives 4, but both
+    # self-dual codes of length 10 have d = 2 (Pless 1972).
+    v = dso_opt(10, 5)
+    assert (v.value, v.status) == (2, STATUS_EXACT)
+    # a witness at 2: i2^5, five disjoint copies of the [2,1,2] code
+    i2 = BinaryMatrix(5, 10, tuple(0b11 << 2 * i for i in range(5)))
+    assert rank(i2) == 5 and gram(i2).is_zero() and min_distance(i2) == 2
+    # no column profile with SO parities reaches 4; SO weights are even
+    assert _search_profile(10, 5, 4, _so_parity_masks(5)) is None
 
 
 def test_dso_opt_errors():

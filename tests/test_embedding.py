@@ -32,7 +32,6 @@ from soembed.oracle import _coset_leaders
 from soembed.profiles import (
     ColumnProfile,
     _gram_mask,
-    column_index,
     column_profile,
     matrix_from_profile,
 )
@@ -337,15 +336,15 @@ def ref_embed_recursive(g):
             if j0 is not None:
                 col = tuple(_row_ip(rows[i], rows[j0]) for i in range(k))
                 cur = horizontal_join(cur, [col])
-                added.append((k, column_index(col)))
+                added.append((k, int("".join(map(str, col)), 2)))
             else:
                 j0 = 0
                 y = tuple(_row_ip(rows[i], rows[0]) for i in range(k))
                 col1 = (1,) + y[1:]
                 col2 = (1,) + (0,) * (k - 1)
                 cur = horizontal_join(cur, [col1, col2])
-                added.append((k, column_index(col1)))
-                added.append((k, column_index(col2)))
+                added.append((k, int("".join(map(str, col1)), 2)))
+                added.append((k, int("".join(map(str, col2)), 2)))
         peeled.append((j0, cur.rows[j0]))
         cur = cur.delete_row(j0)
     rep4 = embed(cur, allow_rank_deficient=True)

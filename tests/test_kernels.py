@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from soembed.constructions import juxtapose_simplex
 from soembed.errors import BadCharacterError, MatrixParseError, RaggedRowsError
-from soembed.gf2 import BinaryMatrix, horizontal_join, parse_matrix, simplex_matrix
-from soembed.profiles import ColumnProfile, _pair_mask, column_profile
+from soembed.gf2 import (
+    BinaryMatrix,
+    _split_columns,
+    horizontal_join,
+    parse_matrix,
+    simplex_matrix,
+)
+from soembed.profiles import ColumnProfile, column_profile
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -63,6 +69,20 @@ def ref_column_profile(m):
     return tuple(counts[1:]), counts[0]
 
 
+def ref_split_columns(rows, n, tags):
+    """(tag, columns) per column pattern, one column at a time."""
+    parts = {}
+    for j in range(n):
+        pattern = tag = 0
+        for pos, r in enumerate(rows):
+            if r >> j & 1:
+                pattern |= 1 << pos
+                tag ^= tags[pos]
+        _, cols = parts.get(pattern, (tag, 0))
+        parts[pattern] = (tag, cols | 1 << j)
+    return list(parts.values())
+
+
 def ref_horizontal_join(m, cols):
     rows = list(m.rows)
     for offset, c in enumerate(cols):
@@ -91,11 +111,6 @@ def ref_juxtapose(seed, s):
             acc |= block_row << (copy * w)
         rows.append(acc | seed.rows[i] << (s * w))
     return tuple(rows)
-
-
-def ref_pair_mask(k, j, j2):
-    both = (1 << (j - 1)) | (1 << (j2 - 1))
-    return sum(1 << i for i in range(1, 1 << k) if i & both == both)
 
 
 def ref_parity_mask(ell):
@@ -217,19 +232,21 @@ def test_column_profile_matches_reference(m):
 
 
 @KERNEL_SETTINGS
+@given(matrices(max_k=10), st.data())
+def test_split_columns_matches_reference(m, data):
+    tag = st.integers(0, (1 << 12) - 1)
+    tags = data.draw(st.lists(tag, min_size=m.k, max_size=m.k))
+    parts = _split_columns(m.rows, m.n, tags)
+    assert sorted(parts) == sorted(ref_split_columns(m.rows, m.n, tags))
+
+
+@KERNEL_SETTINGS
 @given(st.integers(1, 12).flatmap(
     lambda k: st.lists(st.integers(0, 9), min_size=(1 << k) - 1, max_size=(1 << k) - 1)
 ))
 def test_parity_mask_matches_reference(ell):
     k = (len(ell) + 1).bit_length() - 1
     assert ColumnProfile(k, tuple(ell), 0).parity_mask() == ref_parity_mask(ell)
-
-
-def test_pair_masks_match_reference():
-    for k in range(1, 13):
-        for j in range(1, k + 1):
-            for j2 in range(j, k + 1):
-                assert _pair_mask(k, j, j2) == ref_pair_mask(k, j, j2), (k, j, j2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,21 @@ from soembed.gf2 import (
     rank,
     simplex_matrix,
 )
+from soembed.distances import d_opt, dso_opt
 from soembed.oracle import (
+    EnumerationResult,
     _coset_leaders,
     enumerate_codes_by_profile,
-    enumerate_codes_naive,
     min_embedding_oracle,
     random_so_search,
     verify_claims_prop414,
 )
 from soembed.embedding import _dim4_projected_counts
 from soembed.profiles import (
+    ColumnProfile,
     _gram_mask,
     _is_so_odd_mask,
+    _profile_weights,
     _so_parity_masks,
     _sym_mask,
     matrix_from_profile,
@@ -187,6 +190,47 @@ def test_enumerate_matches_naive():
     assert fast.distance == naive.distance
 
 
+def enumerate_codes_naive(n, k, so_only=False):
+    """Reference implementation: literally iterate every composition.
+
+    Only usable for small spaces; cross-checks the pruned search.  The
+    parity test comes before the weights, which it is much cheaper than.
+    """
+    best = None
+    for ell in _compositions_at_most(n, (1 << k) - 1):
+        if so_only and not _is_so_odd_mask(k, ColumnProfile(k, ell, 0).parity_mask()):
+            continue
+        dmin = min(_profile_weights(k, (0, *ell))[1:])
+        if dmin == 0:
+            continue
+        if best is None or dmin > best[0]:
+            best = (dmin, ColumnProfile(k, ell, n - sum(ell)))
+    if best is None:
+        kind = "self-orthogonal " if so_only else ""
+        raise NoSOCodeError(f"no rank-{k} {kind}code of length {n} exists")
+    return EnumerationResult(best[0], best[1])
+
+
+def _compositions_at_most(total, parts):
+    """All nonnegative integer vectors of given length with sum <= total."""
+    if parts == 0:
+        yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions_at_most(total - head, parts - 1):
+            yield (head,) + tail
+
+
+@pytest.mark.parametrize("n", [384, 401])
+@pytest.mark.parametrize("so", [False, True])
+def test_enumerate_k2_past_distance_256(n, so):
+    # distances of 256 and more: the memo key must hold each weight, capped
+    # at d, in full
+    result = enumerate_codes_by_profile(n, 2, so)
+    assert result.distance == (dso_opt if so else d_opt)(n, 2).value
+    assert result.distance >= 256
+
+
 @pytest.mark.parametrize("k, count", [(1, 1), (2, 1), (3, 2), (4, 32)])
 def test_so_parity_masks_match_scan(k, count):
     # every parity mask over indices 1 .. 2**k - 1 (bit 0 stays clear)
@@ -250,7 +294,6 @@ def test_some_optimal_codes_embed_suboptimally():
     import itertools
 
     from soembed.gf2 import h_column
-    from soembed.distances import dso_opt
 
     m = parse_matrix("000011\n001100\n110000\n010100")
     assert min_distance(m) == 2

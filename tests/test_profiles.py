@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from soembed.errors import WrongDimensionError
 from soembed.gf2 import (
     gram,
-    h_column,
     horizontal_join,
     parse_matrix,
     random_matrix,
@@ -22,16 +21,13 @@ from soembed.profiles import (
     _profile_weights,
     _so_parity_masks,
     _sym_masks,
-    column_index,
     column_profile,
-    intersection_parity,
     is_so_dim2,
     is_so_dim3,
     is_so_dim4,
     is_so_dim_check,
     is_so_profile,
     matrix_from_profile,
-    parity_sets,
 )
 from soembed.tables import (
     CLASS7_MASKS,
@@ -44,17 +40,7 @@ from soembed.tables import (
 
 G_10_3 = parse_matrix("0000111111\n0111001111\n1011010001")
 TG_10_3 = parse_matrix("00001111110\n01110011111\n10110100011")
-G_7_4 = parse_matrix("0000111\n0011001\n0101010\n1001011")
 G_5_4 = parse_matrix("00011\n00101\n01001\n10001")
-
-
-def test_column_index():
-    assert column_index((0, 1, 1)) == 3
-    assert column_index((0, 0, 0)) == 0
-    assert column_index((1, 1, 1, 0)) == 14
-    for k in (2, 3, 4, 5):
-        for i in range(1, 1 << k):
-            assert column_index(h_column(k, i)) == i
 
 
 def test_column_profile_examples():
@@ -68,19 +54,6 @@ def test_column_profile_examples():
 
     prof54 = column_profile(G_5_4)
     assert {i for i in range(1, 16) if prof54.count(i)} == {1, 2, 4, 8, 15}
-
-
-def test_intersection_parity():
-    assert intersection_parity(G_10_3, 1, 1) == 1
-    for j in range(1, 4):
-        for j2 in range(j, 4):
-            assert intersection_parity(TG_10_3, j, j2) == 0
-    # diagonal case is the row weight parity, bottom row first
-    rng = random.Random(1)
-    for _ in range(20):
-        m = random_matrix(rng, 4, 12)
-        for j in range(1, 5):
-            assert intersection_parity(m, j, j) == m.rows[4 - j].bit_count() % 2
 
 
 def test_is_so_profile_examples():
@@ -111,17 +84,6 @@ def test_is_so_dim4():
     assert is_so_dim4(ColumnProfile(4, tuple(ext_hamming), 0))
     assert not is_so_dim4(column_profile(G_5_4))
     assert is_so_dim4(ColumnProfile(4, (2, 0, 4) + (0,) * 12, 0))
-
-
-def test_parity_sets():
-    demo = parse_matrix("0000011111\n0011100011\n1100100111")
-    ps = parity_sets(column_profile(demo))
-    assert ps.j0 == frozenset({1, 2, 4, 6, 7})
-    assert ps.j1 == frozenset({3, 5})
-
-    assert parity_sets(column_profile(simplex_matrix(3))).j1 == frozenset(range(1, 8))
-    ps74 = parity_sets(column_profile(G_7_4))
-    assert ps74.j1 == frozenset({1, 2, 4, 7, 8, 11, 13})
 
 
 def test_tables_structure():
