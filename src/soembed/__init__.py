@@ -65,9 +65,6 @@ from .oracle import (
 from .profiles import (
     ColumnProfile,
     column_profile,
-    is_so_dim2,
-    is_so_dim3,
-    is_so_dim4,
     is_so_profile,
     matrix_from_profile,
 )

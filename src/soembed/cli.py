@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (and "is self-orthogonal" for check), 1 semantic
 negative (not self-orthogonal, nothing found, bound missed), 2 parse or
-I/O failure, 3 violated precondition (dimension, rank, domain, caps).
+I/O failure (a closed output pipe included), 3 violated precondition
+(dimension, rank, domain, caps).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -257,7 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARSE
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from .errors import InvalidPolicyError, RankDeficientError
 from .gf2 import BinaryMatrix, gram, rank
 from .profiles import column_profile
-from .tables import (
-    CLASS7_MASKS,
-    CLASS8_MASKS,
-    _bits,
-    _class_flips,
-    _dim4_projected_counts,
-)
+from .tables import _bits, _dim4_projected_counts, _parity_flips
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"
@@ -95,32 +89,20 @@ class EmbedReport:
 
 
 def _flip_masks(odd: int, k: int, policy: EmbedPolicy) -> tuple[int, ...]:
-    """The indices to flip, as masks in append order, so that a matrix of
-    k <= 4 rows whose odd-multiplicity indices are the bits of odd becomes
-    self-orthogonal, by the parity rule for dimension k."""
-    if k < 4:
-        if policy != DEFAULT_POLICY:
+    """The parity rule's flips (tables._parity_flips) for a matrix of k <= 4
+    rows with odd-multiplicity indices odd, once the policy is checked."""
+    if k < 4 and policy != DEFAULT_POLICY:
+        raise InvalidPolicyError(
+            f"a policy needs the dimension-4 step; the matrix has {k} rows"
+        )
+    if policy.s0 is not None:
+        totals = _dim4_projected_counts(odd)
+        got, best = totals[policy.s0 - 1], min(totals)
+        if got != best:
             raise InvalidPolicyError(
-                f"a policy needs the dimension-4 step; the matrix has {k} rows"
+                f"s0={policy.s0} appends {got} columns, minimum is {best}"
             )
-        # k <= 2: every index is its own class; k = 3: indices 1..7 are one
-        return (odd,) if k < 3 else (_class_flips(odd, 0b11111110),)
-    totals = _dim4_projected_counts(odd)
-    best = min(totals)
-    if policy.s0 is None:
-        s0 = totals.index(best) + 1
-    else:
-        s0 = policy.s0
-        if totals[s0 - 1] != best:
-            raise InvalidPolicyError(
-                f"s0={s0} appends {totals[s0 - 1]} columns, minimum is {best}"
-            )
-    # The tie rule decides which half of the 8-class to flip when exactly
-    # 4 of its indices are odd.
-    return (
-        _class_flips(odd, CLASS7_MASKS[s0 - 1]),
-        _class_flips(odd, CLASS8_MASKS[s0 - 1], policy.tie4 == TIE4_INTERSECT),
-    )
+    return _parity_flips(odd, k, policy.s0, policy.tie4 == TIE4_INTERSECT)
 
 
 def _embed(g: BinaryMatrix, policy: EmbedPolicy, rank_deficient: bool) -> EmbedReport:

@@ -36,7 +36,7 @@ class IndexOutOfRangeError(SoEmbedError):
 
 
 class CapExceededError(SoEmbedError):
-    """A guardrail on problem size was hit; pass the override to proceed."""
+    """A guardrail on problem size was hit; the input is refused."""
 
 
 class WrongDimensionError(SoEmbedError):

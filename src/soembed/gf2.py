@@ -24,7 +24,7 @@ from .errors import (
     ZeroCodeError,
 )
 
-# Enumerating 2**rank codewords beyond this is refused without an override.
+# Enumerating 2**rank codewords beyond this is refused.
 RANK_CAP = 40
 
 
@@ -195,17 +195,17 @@ def _gray_codewords(basis: Sequence[int]) -> Iterable[int]:
         yield cw
 
 
-def _capped_basis(m: BinaryMatrix, allow_large: bool) -> list[int]:
-    """A row-space basis, refused past RANK_CAP unless allow_large is set."""
+def _capped_basis(m: BinaryMatrix) -> list[int]:
+    """A row-space basis, refused past RANK_CAP."""
     basis = row_basis(m)
-    if len(basis) > RANK_CAP and not allow_large:
+    if len(basis) > RANK_CAP:
         raise CapExceededError(
             f"rank {len(basis)} > RANK_CAP = {RANK_CAP}: 2^{len(basis)} codewords"
         )
     return basis
 
 
-def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
+def min_distance(m: BinaryMatrix) -> int:
     """Minimum weight over the nonzero row space.
 
     Rank-deficient input is fine: the search runs over a row-space basis of
@@ -215,9 +215,9 @@ def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
     minimum for less (see _bz_min_weight).
 
     A rank above RANK_CAP raises CapExceededError, because a walk would
-    visit 2**rank codewords; allow_large=True lifts the cap.
+    visit 2**rank codewords.
     """
-    basis = _capped_basis(m, allow_large)
+    basis = _capped_basis(m)
     if not basis:
         raise ZeroCodeError("the zero code has no minimum distance")
     table_cost = 1 << len(basis)
@@ -230,13 +230,12 @@ def min_distance(m: BinaryMatrix, allow_large: bool = False) -> int:
     return _table_min_weight(basis)
 
 
-def weight_distribution(m: BinaryMatrix, allow_large: bool = False) -> dict[int, int]:
+def weight_distribution(m: BinaryMatrix) -> dict[int, int]:
     """Map weight -> number of codewords, over all 2**rank codewords.
 
-    A rank above RANK_CAP raises CapExceededError; allow_large=True lifts
-    the cap.
+    A rank above RANK_CAP raises CapExceededError.
     """
-    basis = _capped_basis(m, allow_large)
+    basis = _capped_basis(m)
     table, high = _split_table(basis)
     counts = Counter(map(int.bit_count, table))
     for h in _gray_codewords(high):

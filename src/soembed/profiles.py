@@ -3,9 +3,9 @@
 A matrix's column profile counts how many of its columns equal each of the
 2**k - 1 nonzero binary columns.  Self-orthogonality is decidable from the
 profile alone: in general as evenness of all pairwise column-intersection
-counts, and in dimensions 2..4 as parity-constancy conditions on the
-multiplicities (dimension 4 uses the 15 index-class splits of
-:mod:`soembed.tables`, the hyperplanes of F_2^4).
+counts, and in dimensions 2..4 as parity constancy of the multiplicities
+on every index class, the parity rule of :mod:`soembed.tables` that the
+shortest embedding also reads.
 
 This module is also the one home of the column-multiset algebra that the
 oracles, the embeddings and the seed generator share: the codeword weights
@@ -31,7 +31,7 @@ from .gf2 import (
     h_column,
     horizontal_join,
 )
-from .tables import _class_flips, _dim4_projected_counts
+from .tables import _parity_flips
 
 # 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
 PROFILE_K_CAP = 24
@@ -124,39 +124,11 @@ def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
     return True
 
 
-def _require_dim(p: ColumnProfile, k: int) -> None:
-    if p.k != k:
-        raise WrongDimensionError(f"profile has dimension {p.k}, need {k}")
-
-
-def is_so_dim2(p: ColumnProfile) -> bool:
-    """Dimension-2 test: all three multiplicities even."""
-    _require_dim(p, 2)
-    return all(c % 2 == 0 for c in p.ell)
-
-
-def is_so_dim3(p: ColumnProfile) -> bool:
-    """Dimension-3 test: the seven multiplicities share one parity."""
-    _require_dim(p, 3)
-    return not _class_flips(p.parity_mask(), 0b11111110)
-
-
-def is_so_dim4(p: ColumnProfile) -> bool:
-    """Dimension-4 test: some split has parity-constant multiplicities on
-    both of its index classes."""
-    _require_dim(p, 4)
-    return min(_dim4_projected_counts(p.parity_mask())) == 0
-
-
 def is_so_dim_check(p: ColumnProfile) -> bool:
-    """Dispatch to the closed-form test for k = 2, 3, 4."""
-    if p.k == 2:
-        return is_so_dim2(p)
-    if p.k == 3:
-        return is_so_dim3(p)
-    if p.k == 4:
-        return is_so_dim4(p)
-    raise WrongDimensionError(f"no closed-form test for dimension {p.k}")
+    """The closed-form test for k = 2, 3, 4: the parity rule flips nothing."""
+    if not 2 <= p.k <= 4:
+        raise WrongDimensionError(f"no closed-form test for dimension {p.k}")
+    return not any(_parity_flips(p.parity_mask(), p.k))
 
 
 def so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
@@ -280,9 +252,6 @@ __all__ = [
     "ColumnProfile",
     "column_profile",
     "is_so_profile",
-    "is_so_dim2",
-    "is_so_dim3",
-    "is_so_dim4",
     "is_so_dim_check",
     "matrix_from_profile",
     "so_verdicts",

@@ -1,16 +1,17 @@
-"""The index-class splits behind the dimension-4 self-orthogonality test.
+"""The parity rule for matrices of k <= 4 rows, and the dimension-4 splits.
 
-Column index i in 1..15 is a nonzero vector of F_2^4 (bit j of i is its
-j-th coordinate).  Split s = 1..15 cuts {1..15} along the hyperplane
-orthogonal to rev4(s), the 4 bits of s reversed: the 8-class holds the i
-with <i, rev4(s)> = 1 and the 7-class the nonzero vectors of the
-hyperplane itself.  Parity constancy of the column multiplicities on both
-classes, for some s, is exactly dimension-4 self-orthogonality.  The
-companion pair families group the 14 indices other than s into the pairs
-(x, x ^ s) and drive consistency checks on the class masks.  The
-per-split count of columns to append, which the dimension-4 test and
-embedding both read, is computed here too, and so is the rule that says
-which columns a class needs.
+Such a matrix is self-orthogonal exactly when its column multiplicities
+have constant parity on every index class, and its shortest embedding
+flips the minority of each class: :func:`_parity_flips`, which the
+closed-form test and the embedding both read.  For k <= 2 each index is
+its own class; for k = 3 the indices 1..7 are one.  For k = 4, index i in
+1..15 is a nonzero vector of F_2^4 (bit j of i is its j-th coordinate),
+and the classes are those of some split s = 1..15, which cuts {1..15}
+along the hyperplane orthogonal to rev4(s), the 4 bits of s reversed: the
+8-class holds the i with <i, rev4(s)> = 1 and the 7-class the nonzero
+vectors of the hyperplane itself.  The companion pair families group the
+14 indices other than s into the pairs (x, x ^ s) and drive consistency
+checks on the class masks.
 
 All of it is derived here rather than written out; :func:`validate_tables`
 runs at import so a wrong derivation fails loudly instead of corrupting
@@ -74,6 +75,28 @@ def _dim4_projected_counts(odd_mask: int) -> list[int]:
         n2 = in8 if in8 <= 4 else 8 - in8
         totals.append(n1 + n2)
     return totals
+
+
+def _parity_flips(
+    odd: int, k: int, s0: int | None = None, odd_on_tie: bool = True
+) -> tuple[int, ...]:
+    """The indices whose multiplicity parity to flip, one mask per index
+    class in append order, to make a matrix of k <= 4 rows with
+    odd-multiplicity indices odd self-orthogonal in the fewest flips.  At
+    k = 4 the classes are those of split s0, by default the first that
+    minimizes; odd_on_tie flips the odd half of a tied 8-class, else the
+    even half."""
+    if k <= 2:
+        return (odd,)
+    if k == 3:
+        return (_class_flips(odd, 0b11111110),)
+    if s0 is None:
+        totals = _dim4_projected_counts(odd)
+        s0 = totals.index(min(totals)) + 1
+    return (
+        _class_flips(odd, CLASS7_MASKS[s0 - 1]),
+        _class_flips(odd, CLASS8_MASKS[s0 - 1], odd_on_tie),
+    )
 
 
 def dim4_tables_json() -> dict:

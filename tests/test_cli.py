@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +369,25 @@ def test_table_without_any_code_length(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no [n,4] self-orthogonal code exists" in captured.err
+
+
+def test_closed_output_pipe_exits_2_quietly():
+    # a reader that stops after one line, as `| head -n 1` does; 650 KB of
+    # csv outgrows the pipe buffer, so the writer meets the closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    argv = ["table", "--k", "4", "--from", "4", "--to", "20000", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "soembed.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"n,value,status,source\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 2
 
 
 def test_parser_built_once():

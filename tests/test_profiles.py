@@ -22,9 +22,6 @@ from soembed.profiles import (
     _so_parity_masks,
     _sym_masks,
     column_profile,
-    is_so_dim2,
-    is_so_dim3,
-    is_so_dim4,
     is_so_dim_check,
     is_so_profile,
     matrix_from_profile,
@@ -33,7 +30,9 @@ from soembed.tables import (
     CLASS7_MASKS,
     CLASS8_MASKS,
     _class_flips,
+    _dim4_projected_counts,
     _pair_families,
+    _parity_flips,
     validate_tables,
     verify_sigma_symmetry,
 )
@@ -65,25 +64,57 @@ def test_is_so_profile_examples():
         assert is_so_profile(doubled)
 
 
-def test_is_so_dim2():
-    assert not is_so_dim2(ColumnProfile(2, (3, 3, 1), 0))
-    assert is_so_dim2(ColumnProfile(2, (0, 0, 0), 5))
-    assert is_so_dim2(ColumnProfile(2, (4, 4, 2), 0))
-    with pytest.raises(WrongDimensionError):
-        is_so_dim2(column_profile(G_10_3))
+def test_is_so_dim_check_k2():
+    assert not is_so_dim_check(ColumnProfile(2, (3, 3, 1), 0))
+    assert is_so_dim_check(ColumnProfile(2, (0, 0, 0), 5))
+    assert is_so_dim_check(ColumnProfile(2, (4, 4, 2), 0))
 
 
-def test_is_so_dim3():
-    assert is_so_dim3(ColumnProfile(3, (1, 1, 3, 1, 1, 3, 1), 0))
-    assert not is_so_dim3(ColumnProfile(3, (1, 1, 2, 1, 1, 3, 1), 0))
-    assert is_so_dim3(ColumnProfile(3, (2,) * 7, 0))
+def test_is_so_dim_check_k3():
+    assert is_so_dim_check(ColumnProfile(3, (1, 1, 3, 1, 1, 3, 1), 0))
+    assert not is_so_dim_check(ColumnProfile(3, (1, 1, 2, 1, 1, 3, 1), 0))
+    assert is_so_dim_check(ColumnProfile(3, (2,) * 7, 0))
 
 
-def test_is_so_dim4():
+def test_is_so_dim_check_k4():
     ext_hamming = [1 if i in {1, 2, 4, 7, 8, 11, 13, 14} else 0 for i in range(1, 16)]
-    assert is_so_dim4(ColumnProfile(4, tuple(ext_hamming), 0))
-    assert not is_so_dim4(column_profile(G_5_4))
-    assert is_so_dim4(ColumnProfile(4, (2, 0, 4) + (0,) * 12, 0))
+    assert is_so_dim_check(ColumnProfile(4, tuple(ext_hamming), 0))
+    assert not is_so_dim_check(column_profile(G_5_4))
+    assert is_so_dim_check(ColumnProfile(4, (2, 0, 4) + (0,) * 12, 0))
+
+
+def test_is_so_dim_check_refuses_other_dimensions():
+    for k in (1, 5):
+        with pytest.raises(WrongDimensionError):
+            is_so_dim_check(ColumnProfile(k, (1,) * ((1 << k) - 1), 0))
+
+
+def test_parity_flips_exhaustive_against_parity_kernel():
+    """For k <= 4 and every parity pattern, the rule's flips reach a
+    self-orthogonal pattern with the fewest flips, and flip nothing exactly
+    on self-orthogonal patterns: the shortest embedding, by exhaustion.
+    At k = 4 every minimizing split is checked, with both tie rules."""
+    for k in range(1, 5):
+        so_masks = _so_parity_masks(k)
+        for odd in range(0, 1 << (1 << k), 2):  # bit 0, the zero column, clear
+            fewest = min((odd ^ so).bit_count() for so in so_masks)
+            rules = [_parity_flips(odd, k)]
+            if k == 4:
+                totals = _dim4_projected_counts(odd)
+                rules += [
+                    _parity_flips(odd, k, s, tie)
+                    for s in range(1, 16)
+                    if totals[s - 1] == fewest
+                    for tie in (True, False)
+                ]
+            for flips in rules:
+                union = 0
+                for mask in flips:
+                    assert not union & mask  # one mask per class, disjoint
+                    union |= mask
+                assert odd ^ union in so_masks
+                assert union.bit_count() == fewest
+            assert (not any(rules[0])) == _is_so_odd_mask(k, odd)
 
 
 def test_tables_structure():
