@@ -53,16 +53,11 @@ def searched(t: int, k: int, d: int, so: bool) -> BinaryMatrix:
 
 
 def pad_zeros(m: BinaryMatrix, count: int) -> BinaryMatrix:
-    return horizontal_join(m, [(0,) * m.k] * count)
+    return horizontal_join(m, [0] * count)
 
 
 def pad_pairs(m: BinaryMatrix, cols: list[int]) -> BinaryMatrix:
-    from soembed.gf2 import h_column
-
-    extra = []
-    for i in cols:
-        extra += [h_column(m.k, i)] * 2
-    return horizontal_join(m, extra)
+    return horizontal_join(m, [i for i in cols for _ in range(2)])
 
 
 def gen_k3() -> None:
@@ -103,11 +98,7 @@ def gen_k4_so() -> None:
     write_seed(m21, 21, 4, True, dso_opt(21, 4).value, "targeted profile search")
     write_seed(pad_zeros(m21, 1), 22, 4, True, dso_opt(22, 4).value, "targeted profile search + zero pad")
     # doubled simplex with one duplicate pair removed
-    cols = []
-    from soembed.gf2 import h_column
-
-    for i in range(1, 15):
-        cols += [h_column(4, i)] * 2
+    cols = [i for i in range(1, 15) for _ in range(2)]
     m28 = horizontal_join(BinaryMatrix(4, 0, (0, 0, 0, 0)), cols)
     write_seed(m28, 28, 4, True, dso_opt(28, 4).value, "doubled simplex minus one pair")
 
@@ -125,10 +116,7 @@ def gen_k5_so() -> None:
     assert found >= d15 and prof is not None
     write_seed(matrix_from_profile(prof), 15, 5, True, d15, "randomized search (seed 7)")
 
-    from soembed.gf2 import h_column
-
-    cols16 = [h_column(5, i) for i in range(16, 32)]
-    m16 = horizontal_join(BinaryMatrix(5, 0, (0,) * 5), cols16)
+    m16 = horizontal_join(BinaryMatrix(5, 0, (0,) * 5), range(16, 32))
     write_seed(m16, 16, 5, True, dso_opt(16, 5).value, "top-bit column family")
     write_seed(pad_zeros(m16, 1), 17, 5, True, dso_opt(17, 5).value, "top-bit family + zero pad")
     m18 = pad_pairs(m16, [16])

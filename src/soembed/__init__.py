@@ -33,7 +33,6 @@ from .errors import (
     EmptyInputError,
     IndexOutOfRangeError,
     InvalidPolicyError,
-    LengthMismatchError,
     MatrixParseError,
     MissingSeedError,
     NoSOCodeError,
@@ -46,7 +45,6 @@ from .errors import (
 from .gf2 import (
     BinaryMatrix,
     gram,
-    h_column,
     horizontal_join,
     min_distance,
     parse_matrix,

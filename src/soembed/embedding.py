@@ -3,8 +3,8 @@
 `embed` is the one entry point, for every dimension k.  One routine peels
 rows, reading only the Gram matrix, until at most 4 are live; the parity
 rule of the dimension left then appends the provably minimal number of
-columns.  A column appended while k' rows are live is h_column(k', i) on
-those rows and 0 on the peeled ones.
+columns.  A column appended while k' rows are live is index i on those
+rows (see gf2.horizontal_join) and 0 on the peeled ones.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ DEFAULT_POLICY = EmbedPolicy()
 class EmbedReport:
     """Result of an embedding run.
 
-    added lists (level_rows, index) per appended column: the column was
-    h_column(level_rows, index) at the step where the working matrix had
-    level_rows rows.
+    added lists (level_rows, index) per appended column: the column had
+    that index (as in gf2.horizontal_join) on the level_rows rows the
+    working matrix had at that step.
     """
 
     input: BinaryMatrix

@@ -23,16 +23,12 @@ class BadCharacterError(MatrixParseError):
     """A character other than 0/1, whitespace, or comment marker."""
 
 
-class LengthMismatchError(SoEmbedError):
-    """Vectors of unequal length where equal length is required."""
-
-
 class ZeroCodeError(SoEmbedError):
     """Operation undefined for the zero code (rank 0)."""
 
 
 class IndexOutOfRangeError(SoEmbedError):
-    """Column index outside 1 .. 2**k - 1."""
+    """Column index outside 0 .. 2**k - 1."""
 
 
 class CapExceededError(SoEmbedError):

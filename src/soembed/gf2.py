@@ -19,7 +19,6 @@ from .errors import (
     CapExceededError,
     EmptyInputError,
     IndexOutOfRangeError,
-    LengthMismatchError,
     RaggedRowsError,
     ZeroCodeError,
 )
@@ -46,43 +45,12 @@ class BinaryMatrix:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the column range")
 
-    @classmethod
-    def from_rows(cls, bit_rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
-        """Build from row sequences of 0/1 entries (leftmost entry = column 0)."""
-        if not bit_rows:
-            raise ValueError("need at least one row")
-        n = len(bit_rows[0])
-        ints = []
-        for row in bit_rows:
-            if len(row) != n:
-                raise RaggedRowsError("rows have unequal lengths")
-            for b in row:
-                if b not in (0, 1):
-                    raise BadCharacterError(f"entry {b!r} is not a bit")
-            ints.append(int("".join("01"[b] for b in reversed(row)) or "0", 2))
-        return cls(len(ints), n, tuple(ints))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j as a bit tuple, top row first."""
-        return tuple((r >> j) & 1 for r in self.rows)
-
-    def row_bits(self, i: int) -> tuple[int, ...]:
-        """Row i as a bit tuple, column 0 first."""
-        return tuple(map(int, _row_text(self.rows[i], self.n)))
-
     def to_text(self) -> str:
         """Matrix text form: one row of 0/1 characters per line."""
         return "\n".join(_row_text(r, self.n) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def delete_row(self, i: int) -> "BinaryMatrix":
-        rows = self.rows[:i] + self.rows[i + 1 :]
-        return BinaryMatrix(self.k - 1, self.n, rows)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -558,16 +526,6 @@ def _bz_min_weight(basis: list[int], n: int, budget: float) -> int | None:
     return best
 
 
-def h_column(k: int, i: int) -> tuple[int, ...]:
-    """The length-k binary column for index i, most significant bit on top.
-
-    Index 1 is the column (0, ..., 0, 1).
-    """
-    if not 1 <= i <= (1 << k) - 1:
-        raise IndexOutOfRangeError(f"index {i} outside 1..{(1 << k) - 1}")
-    return tuple((i >> (k - 1 - pos)) & 1 for pos in range(k))
-
-
 def _index_bit_mask(k: int, b: int) -> int:
     """Bit i set, for 0 <= i < 2**k, iff bit b of i is set.
 
@@ -594,28 +552,29 @@ def _hit_masks(k: int) -> tuple[int, ...]:
 
 
 def simplex_matrix(k: int) -> BinaryMatrix:
-    """The k x (2**k - 1) matrix whose column i is h_column(k, i)."""
+    """The k x (2**k - 1) matrix whose column j is the column of index j + 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = tuple(_index_bit_mask(k, k - 1 - pos) >> 1 for pos in range(k))
     return BinaryMatrix(k, (1 << k) - 1, rows)
 
 
-def horizontal_join(
-    m: BinaryMatrix, cols: Sequence[Sequence[int]]
-) -> BinaryMatrix:
-    """Append columns (top-first bit tuples) on the right, in order."""
-    for c in cols:
-        if len(c) != m.k:
-            raise LengthMismatchError(
-                f"column of length {len(c)} cannot join a {m.k}-row matrix"
-            )
+def horizontal_join(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
+    """Append columns on the right, in order, each given by its index.
+
+    Bit k - 1 - pos of an index is its entry in row pos, so index 1 is the
+    column (0, ..., 0, 1) and index 0 the zero column.
+    """
+    top = (1 << m.k) - 1
+    for i in cols:
+        if not 0 <= i <= top:
+            raise IndexOutOfRangeError(f"column index {i} outside 0..{top}")
     if not cols:
         return m
-    # Row i's appended bits, last column first, as one binary string.
+    # Row pos's appended bits, last column first, as one binary string.
     rows = tuple(
-        r | int("".join("1" if c[i] else "0" for c in reversed(cols)), 2) << m.n
-        for i, r in enumerate(m.rows)
+        r | int("".join("01"[c >> shift & 1] for c in reversed(cols)), 2) << m.n
+        for shift, r in zip(range(m.k - 1, -1, -1), m.rows)
     )
     return BinaryMatrix(m.k, m.n + len(cols), rows)
 

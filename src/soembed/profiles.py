@@ -28,7 +28,6 @@ from .gf2 import (
     _row_ip,
     _split_columns,
     gram,
-    h_column,
     horizontal_join,
 )
 from .tables import _parity_flips
@@ -149,12 +148,9 @@ def so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
 
 def matrix_from_profile(p: ColumnProfile) -> BinaryMatrix:
     """A matrix realizing a profile: columns ascending by index, zeros last."""
-    cols = []
-    for i in range(1, (1 << p.k)):
-        cols.extend([h_column(p.k, i)] * p.count(i))
-    cols.extend([(0,) * p.k] * p.zero_count)
+    cols = [i for i, c in enumerate(p.ell, start=1) for _ in range(c)]
     base = BinaryMatrix(p.k, 0, (0,) * p.k)
-    return horizontal_join(base, cols)
+    return horizontal_join(base, cols + [0] * p.zero_count)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Closed-form distance formulas: examples, ranges, parity, consistency."""
 
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -15,9 +16,9 @@ from soembed.distances import (
     make_table,
 )
 from soembed.errors import DomainError, NoSOCodeError
-from soembed.gf2 import BinaryMatrix, gram, min_distance, rank
+from soembed.gf2 import BinaryMatrix, gram, min_distance, parse_matrix, rank
 from soembed.oracle import _search_profile
-from soembed.profiles import _so_parity_masks
+from soembed.profiles import _so_parity_masks, matrix_from_profile
 
 # ---------------------------------------------------------------------------
 # Reference: the formulas written out branch by branch, one residue set per
@@ -222,6 +223,45 @@ def test_d_opt_examples():
     assert d_opt(9, 5).value == 3
     assert d_opt(12, 5).value == 4
     assert all(d_opt(n, k).status == STATUS_EXACT for k in range(1, 6) for n in range(k, 40))
+
+
+# d_opt falls one below the staircase bound at dimension 5 and lengths 8, 9,
+# 12 and 13.  Each value has a witness; nonexistence one above it is shown
+# at n = 8 and 9.
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (9, 3), (12, 4)])
+def test_d_opt_dim5_named_witness(n, d):
+    assert d_opt(n, 5).value == d
+    m = matrix_from_profile(_search_profile(n, 5, d, None))
+    assert (m.n, rank(m), min_distance(m)) == (n, 5, d)
+
+
+def test_d_opt_13_5_witness():
+    assert d_opt(13, 5).value == 5
+    m = parse_matrix(
+        "1110100100101\n"
+        "1101000011001\n"
+        "0011001110001\n"
+        "1100101110011\n"
+        "0100011010001"
+    )
+    assert (m.n, rank(m), min_distance(m)) == (13, 5, 5)
+
+
+def test_no_8_5_3_code():
+    # Any [8,5] code has an information set, so up to a column permutation
+    # it has a generator [I5 | A].  Row i then weighs 1 + wt(A_i), so d >= 3
+    # needs every row of A to weigh >= 2: 4**5 forms, all with d <= 2.
+    # A [9,5,4] code punctured at one coordinate would be an [8,5,3] code,
+    # so none exists either.
+    assert (d_opt(8, 5).value, d_opt(9, 5).value) == (2, 3)
+    heavy = [a for a in range(8) if a.bit_count() >= 2]
+    best = 0
+    for rows_a in itertools.product(heavy, repeat=5):
+        m = BinaryMatrix(5, 8, tuple(1 << i | a << 5 for i, a in enumerate(rows_a)))
+        best = max(best, min_distance(m))
+    assert best == 2
 
 
 def test_d_opt_domain():

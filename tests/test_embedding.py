@@ -46,8 +46,7 @@ def test_golden_examples_all_pass():
 
 
 def test_dim2_already_so():
-    h2 = simplex_matrix(2)
-    doubled = horizontal_join(h2, [h2.column(j) for j in range(3)])
+    doubled = horizontal_join(simplex_matrix(2), range(1, 4))
     rep = embed(doubled, allow_rank_deficient=True)
     assert rep.added_count == 0 and rep.output == doubled
 
@@ -84,8 +83,7 @@ def test_dim4_invalid_policy():
 
 
 def test_dim5_already_so():
-    h5 = simplex_matrix(5)
-    doubled = horizontal_join(h5, [h5.column(j) for j in range(h5.n)])
+    doubled = horizontal_join(simplex_matrix(5), range(1, 32))
     rep = embed(doubled, allow_rank_deficient=True)
     assert rep.added_count == 0
     assert rep.output == doubled
@@ -203,8 +201,9 @@ def test_column_permutation_equivariance():
         m = random_full_rank_matrix(rng, k, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        empty = BinaryMatrix(k, 0, (0,) * k)
-        shuffled = horizontal_join(empty, [m.column(j) for j in perm])
+        shuffled = BinaryMatrix(k, n, tuple(
+            sum((r >> j & 1) << t for t, j in enumerate(perm)) for r in m.rows
+        ))
         rep = embed(m)
         rep_shuffled = embed(shuffled)
         assert rep_shuffled.added_count == rep.added_count
@@ -227,7 +226,7 @@ def test_random_matrices_with_zero_columns():
         k = rng.randint(2, 5)
         n = rng.randint(k, 20)
         m = random_matrix(rng, k, n)
-        zeroed = horizontal_join(m, [(0,) * k] * rng.randint(1, 3))
+        zeroed = horizontal_join(m, [0] * rng.randint(1, 3))
         rep = embed(zeroed, allow_rank_deficient=True)
         assert gram(rep.output).is_zero()
 
@@ -334,19 +333,17 @@ def ref_embed_recursive(g):
         if j0 is None:
             j0 = next((i for i in range(k) if _row_ip(rows[i], rows[i])), None)
             if j0 is not None:
-                col = tuple(_row_ip(rows[i], rows[j0]) for i in range(k))
-                cur = horizontal_join(cur, [col])
-                added.append((k, int("".join(map(str, col)), 2)))
+                col = sum(_row_ip(rows[i], rows[j0]) << (k - 1 - i) for i in range(k))
+                cols = [col]
             else:
                 j0 = 0
-                y = tuple(_row_ip(rows[i], rows[0]) for i in range(k))
-                col1 = (1,) + y[1:]
-                col2 = (1,) + (0,) * (k - 1)
-                cur = horizontal_join(cur, [col1, col2])
-                added.append((k, int("".join(map(str, col1)), 2)))
-                added.append((k, int("".join(map(str, col2)), 2)))
+                y = sum(_row_ip(rows[i], rows[0]) << (k - 1 - i) for i in range(k))
+                top = 1 << (k - 1)  # row 0's bit of a column index
+                cols = [y | top, top]
+            cur = horizontal_join(cur, cols)
+            added.extend((k, c) for c in cols)
         peeled.append((j0, cur.rows[j0]))
-        cur = cur.delete_row(j0)
+        cur = BinaryMatrix(k - 1, cur.n, cur.rows[:j0] + cur.rows[j0 + 1 :])
     rep4 = embed(cur, allow_rank_deficient=True)
     added.extend(rep4.added)
     out_rows = list(rep4.output.rows)
@@ -367,7 +364,7 @@ def peel_inputs(draw):
         # a repeated row: rank deficient
         rows[draw(st.integers(0, k - 1))] = rows[draw(st.integers(0, k - 1))]
     m = BinaryMatrix(k, n, tuple(rows))
-    return horizontal_join(m, [(0,) * k] * draw(st.integers(0, 3)))
+    return horizontal_join(m, [0] * draw(st.integers(0, 3)))
 
 
 @settings(max_examples=400, deadline=None)

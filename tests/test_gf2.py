@@ -17,7 +17,6 @@ from soembed.errors import (
     CapExceededError,
     EmptyInputError,
     IndexOutOfRangeError,
-    LengthMismatchError,
     RaggedRowsError,
     ZeroCodeError,
 )
@@ -30,7 +29,6 @@ from soembed.gf2 import (
     _systematic_form,
     _table_min_weight,
     gram,
-    h_column,
     horizontal_join,
     min_distance,
     parse_matrix,
@@ -71,8 +69,7 @@ def naive_min_distance(m: BinaryMatrix) -> int:
 def test_parse_basic():
     m = parse_matrix("011\n101")
     assert (m.k, m.n) == (2, 3)
-    assert m.row_bits(0) == (0, 1, 1)
-    assert m.row_bits(1) == (1, 0, 1)
+    assert m.rows == (0b110, 0b101)  # bit j is column j
 
 
 def test_parse_smallest():
@@ -112,12 +109,12 @@ def test_rank_examples():
 
 
 def test_gram_examples():
-    tg = horizontal_join(G_10_3, [h_column(3, 3)])
+    tg = horizontal_join(G_10_3, [3])
     assert gram(tg).is_zero()
     eye = parse_matrix("10\n01")
     assert gram(eye) == eye
     g = gram(G_10_3)
-    assert g.entry(2, 2) == 1  # bottom row has odd weight
+    assert g.rows[2] >> 2 & 1  # bottom row has odd weight
 
 
 def test_gram_symmetric_random():
@@ -127,7 +124,7 @@ def test_gram_symmetric_random():
         g = gram(m)
         for i in range(m.k):
             for j in range(m.k):
-                assert g.entry(i, j) == g.entry(j, i)
+                assert g.rows[i] >> j & 1 == g.rows[j] >> i & 1
 
 
 def test_min_distance_examples():
@@ -182,39 +179,37 @@ def test_weight_distribution_sums():
             assert min(nonzero) == min_distance(m)
 
 
-def test_h_column():
-    assert h_column(3, 1) == (0, 0, 1)
-    assert h_column(3, 6) == (1, 1, 0)
-    assert h_column(4, 14) == (1, 1, 1, 0)
-    with pytest.raises(IndexOutOfRangeError):
-        h_column(3, 8)
-    with pytest.raises(IndexOutOfRangeError):
-        h_column(3, 0)
+def test_column_index_convention():
+    # bit k - 1 - pos of a column index is the entry in row pos
+    empty3 = BinaryMatrix(3, 0, (0, 0, 0))
+    assert horizontal_join(empty3, [1]).rows == (0, 0, 1)  # bottom row only
+    assert horizontal_join(empty3, [6]).rows == (1, 1, 0)
+    assert horizontal_join(empty3, [0]) == BinaryMatrix(3, 1, (0, 0, 0))
+    assert horizontal_join(BinaryMatrix(4, 0, (0,) * 4), [14]).rows == (1, 1, 1, 0)
+    for bad in (8, -1):
+        with pytest.raises(IndexOutOfRangeError):
+            horizontal_join(empty3, [1, bad])
 
 
 def test_simplex_matrix():
-    s2 = simplex_matrix(2)
-    assert [s2.column(j) for j in range(3)] == [(0, 1), (1, 0), (1, 1)]
+    # columns (0, 1), (1, 0), (1, 1): indices 1, 2, 3
+    assert simplex_matrix(2).rows == (0b110, 0b101)
     assert min_distance(simplex_matrix(3)) == 4
     assert min_distance(simplex_matrix(4)) == 8
     for k in range(1, 7):
         sk = simplex_matrix(k)
-        cols = {sk.column(j) for j in range(sk.n)}
-        assert len(cols) == (1 << k) - 1 and (0,) * k not in cols
+        assert sk == horizontal_join(BinaryMatrix(k, 0, (0,) * k), range(1, 1 << k))
         assert set(weight_distribution(sk)) == {0, 1 << (k - 1)}
 
 
 def test_horizontal_join():
-    tg = horizontal_join(G_10_3, [h_column(3, 3)])
+    tg = horizontal_join(G_10_3, [3])
     assert tg == parse_matrix("00001111110\n01110011111\n10110100011")
     assert horizontal_join(G_10_3, []) == G_10_3
-    h2 = simplex_matrix(2)
-    doubled = horizontal_join(h2, [h2.column(j) for j in range(3)])
+    doubled = horizontal_join(simplex_matrix(2), [1, 2, 3])
     from soembed.profiles import column_profile
 
     assert column_profile(doubled).ell == (2, 2, 2)
-    with pytest.raises(LengthMismatchError):
-        horizontal_join(G_10_3, [(1, 0)])
 
 
 def test_join_preserves_rank_and_distance():
@@ -225,10 +220,7 @@ def test_join_preserves_rank_and_distance():
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 16))
         if all(r == 0 for r in m.rows):
             continue
-        cols = [
-            tuple(rng.randint(0, 1) for _ in range(m.k))
-            for _ in range(rng.randint(1, 4))
-        ]
+        cols = [rng.randrange(1 << m.k) for _ in range(rng.randint(1, 4))]
         joined = horizontal_join(m, cols)
         assert rank(joined) >= rank(m)
         if rank(m) == m.k:

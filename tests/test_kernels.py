@@ -86,9 +86,9 @@ def ref_split_columns(rows, n, tags):
 def ref_horizontal_join(m, cols):
     rows = list(m.rows)
     for offset, c in enumerate(cols):
-        for i, b in enumerate(c):
-            if b:
-                rows[i] |= 1 << (m.n + offset)
+        for pos in range(m.k):
+            if (c >> (m.k - 1 - pos)) & 1:
+                rows[pos] |= 1 << (m.n + offset)
     return tuple(rows)
 
 
@@ -175,10 +175,6 @@ def outcome(fn, *args):
 def test_to_text_matches_reference_and_round_trips(m):
     text = m.to_text()
     assert text == ref_to_text(m)
-    assert tuple(m.row_bits(i) for i in range(m.k)) == tuple(
-        tuple(int(ch) for ch in line) for line in ref_to_text(m).split("\n")
-    )
-    assert BinaryMatrix.from_rows([m.row_bits(i) for i in range(m.k)]) == m
     if m.n:
         assert parse_matrix(text) == m
 
@@ -213,10 +209,6 @@ def test_parse_error_messages():
         parse_matrix("012")
     with pytest.raises(RaggedRowsError, match=r"^row 3 has 2 bits, expected 3$"):
         parse_matrix("011\n\n# c\n101\n10 # short\n")
-    with pytest.raises(BadCharacterError, match=r"entry 2 is not a bit"):
-        BinaryMatrix.from_rows([[0, 1, 2]])
-    with pytest.raises(RaggedRowsError):
-        BinaryMatrix.from_rows([[0, 1], [1]])
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +248,7 @@ def test_parity_mask_matches_reference(ell):
 @KERNEL_SETTINGS
 @given(matrices(), st.data())
 def test_horizontal_join_matches_reference(m, data):
-    cols = data.draw(
-        st.lists(st.tuples(*[st.integers(0, 1)] * m.k), max_size=70)
-    )
+    cols = data.draw(st.lists(st.integers(0, (1 << m.k) - 1), max_size=70))
     joined = horizontal_join(m, cols)
     assert joined.n == m.n + len(cols)
     assert joined.rows == ref_horizontal_join(m, cols)

@@ -59,8 +59,7 @@ def test_is_so_profile_examples():
     assert not is_so_profile(G_10_3)
     assert is_so_profile(TG_10_3)
     for k in range(2, 9):
-        hk = simplex_matrix(k)
-        doubled = horizontal_join(hk, [hk.column(j) for j in range(hk.n)])
+        doubled = horizontal_join(simplex_matrix(k), range(1, 1 << k))
         assert is_so_profile(doubled)
 
 
@@ -201,10 +200,11 @@ def test_profile_invariance():
         m = random_matrix(rng, k, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        empty = BinaryMatrix(k, 0, (0,) * k)
-        shuffled = horizontal_join(empty, [m.column(j) for j in perm])
+        shuffled = BinaryMatrix(k, n, tuple(
+            sum((r >> j & 1) << t for t, j in enumerate(perm)) for r in m.rows
+        ))
         assert column_profile(shuffled).ell == column_profile(m).ell
-        padded = horizontal_join(m, [(0,) * k])
+        padded = horizontal_join(m, [0])
         before = is_so_dim_check(column_profile(m))
         assert is_so_dim_check(column_profile(padded)) == before
         assert column_profile(padded).zero_count == column_profile(m).zero_count + 1
