@@ -107,6 +107,26 @@ def _feasible(
     Unit counts add `step` copies of their column of dimension k; base_t
     carries weights already forced (by parity choices).  Returns the unit
     vector indexed 1.. or None.
+
+    The walk fixes the units v of column i = 2**k - 1 down to 1, each in
+    ascending order, so the first witness is the least in that order.  The
+    loop over v is bounded by the gaps d - t[x] > 0 of the node:
+
+    - floor: a message column i hits but columns 1 .. i - 1 cannot reach
+      needs v >= ceil(gap / step), or the child fails its coverage test;
+    - ceiling from the messages column i misses: their gaps stay, so
+      v <= rem - ceil(max gap / step), or the child fails its worst-gap test;
+    - ceiling from dominance: v <= c = ceil(max gap over the hit messages /
+      step).  Every v > c leaves the weights, capped at d, as v = c leaves
+      them, with less budget.  A node's outcome depends only on its capped
+      weights and its budget, and a node that fails fails with less budget,
+      so such a child fails whenever the loop reaches it.  A unit is `step`
+      copies, so when step = 2 the parity of column i stays as the caller
+      chose it.
+
+    Each skipped child would have returned None, the loop stays ascending,
+    and `failed` holds only nodes that are infeasible, so the witness is the
+    one the unbounded loop finds.
     """
     hits = _hit_masks(k)
     vecs = _hit_vectors(k)
@@ -119,33 +139,43 @@ def _feasible(
     width = d.bit_length()
 
     def walk(i: int, rem: int, t: list[int]) -> list[int] | None:
-        deficit = 0
-        worst = 0
-        needed_mask = 0
-        for x in range(1, ncols + 1):
-            gap = d - t[x]
-            if gap > 0:
-                deficit += gap
-                needed_mask |= 1 << x
-                if gap > worst:
-                    worst = gap
-        if deficit == 0:
-            return [0] * i
-        if needed_mask & ~coverage[i]:
-            return None
-        if worst > step * rem or deficit > step * rem * half:
-            return None
+        hit = vecs[i]
+        below = coverage[i - 1]
         # The weights, capped at d, packed width bits apart into one int: an
         # exact key for any d, and a compact one for a memo that grows large.
-        capped = 0
-        for v in t[1:]:
-            capped = capped << width | min(v, d)
+        capped = deficit = floor_gap = hit_worst = miss_worst = 0
+        for x in range(1, ncols + 1):
+            w = t[x]
+            gap = d - w
+            if gap <= 0:
+                capped = capped << width | d
+                continue
+            capped = capped << width | w
+            deficit += gap
+            if hit[x]:
+                if gap > hit_worst:
+                    hit_worst = gap
+                if gap > floor_gap and not below >> x & 1:
+                    floor_gap = gap
+            elif below >> x & 1:
+                if gap > miss_worst:
+                    miss_worst = gap
+            else:
+                return None  # no column left reaches message x
+        if deficit == 0:
+            return [0] * i
+        if max(hit_worst, miss_worst) > step * rem or deficit > step * rem * half:
+            return None
         key = (i, rem, capped)
         if key in failed:
             return None
-        for v in range(rem + 1):
-            if v:
-                t = _add_column(t, vecs[i], step)
+        lo = -(-floor_gap // step)
+        hi = min(rem + (-miss_worst // step), -(-hit_worst // step))
+        if lo:
+            t = _add_column(t, hit, lo * step)
+        for v in range(lo, hi + 1):
+            if v > lo:
+                t = _add_column(t, hit, step)
             sub = walk(i - 1, rem - v, t)
             if sub is not None:
                 sub.append(v)
@@ -170,17 +200,26 @@ def enumerate_codes_by_profile(
     Searches multiplicity vectors summing to n (zero columns absorb slack),
     restricted to self-orthogonal parities when so_only.  Raises
     NoSOCodeError when nothing of rank k qualifies.
+
+    The levels d run down from the average-weight bound.  When so_only
+    they are even only: a self-orthogonal code's weights are all even, so
+    level 2j - 1 is feasible exactly when level 2j is.
     """
     if not 1 <= k <= 4:
         raise DomainError("profile enumeration supports k <= 4")
     if n < 1:
         raise DomainError("need n >= 1")
     ncols = (1 << k) - 1
-    if math.comb(n + ncols, ncols) > PROFILE_SPACE_CAP:
-        raise CapExceededError("profile space exceeds the enumeration cap")
+    space = math.comb(n + ncols, ncols)
+    if space > PROFILE_SPACE_CAP:
+        raise CapExceededError(
+            f"C(n + 2^k - 1, 2^k - 1) = C({n + ncols}, {ncols}) = {space} "
+            f"profiles > PROFILE_SPACE_CAP = {PROFILE_SPACE_CAP}"
+        )
     parities = _so_parity_masks(k) if so_only else None
     d_hi = min(n, (n << (k - 1)) // ncols)
-    for d in range(d_hi, 0, -1):
+    levels = range(d_hi & ~1, 0, -2) if so_only else range(d_hi, 0, -1)
+    for d in levels:
         witness = _search_profile(n, k, d, parities)
         if witness is not None:
             return EnumerationResult(d, witness)

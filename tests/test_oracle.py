@@ -11,6 +11,7 @@ from soembed.cli import main
 from soembed.errors import CapExceededError, DomainError, NoSOCodeError
 from soembed.gf2 import (
     BinaryMatrix,
+    _hit_masks,
     gram,
     horizontal_join,
     min_distance,
@@ -23,6 +24,7 @@ from soembed.distances import d_opt, dso_opt
 from soembed.oracle import (
     EnumerationResult,
     _coset_leaders,
+    _feasible,
     enumerate_codes_by_profile,
     min_embedding_oracle,
     random_so_search,
@@ -31,7 +33,9 @@ from soembed.oracle import (
 from soembed.embedding import _dim4_projected_counts
 from soembed.profiles import (
     ColumnProfile,
+    _add_column,
     _gram_mask,
+    _hit_vectors,
     _is_so_odd_mask,
     _profile_weights,
     _so_parity_masks,
@@ -222,6 +226,82 @@ def _compositions_at_most(total, parts):
             yield (head,) + tail
 
 
+def ref_feasible(d, budget, step, base_t, k):
+    """The loop _feasible bounds, unbounded: every v in 0 .. rem, each
+    child rejecting itself with its own coverage and worst-gap tests."""
+    hits = _hit_masks(k)
+    vecs = _hit_vectors(k)
+    half = 1 << (k - 1)
+    ncols = len(hits) - 1
+    coverage = [0] * (ncols + 2)
+    for i in range(1, ncols + 1):
+        coverage[i] = coverage[i - 1] | hits[i]
+    failed = set()
+
+    def walk(i, rem, t):
+        deficit = worst = needed_mask = 0
+        for x in range(1, ncols + 1):
+            gap = d - t[x]
+            if gap > 0:
+                deficit += gap
+                needed_mask |= 1 << x
+                worst = max(worst, gap)
+        if deficit == 0:
+            return [0] * i
+        if needed_mask & ~coverage[i]:
+            return None
+        if worst > step * rem or deficit > step * rem * half:
+            return None
+        key = (i, rem, tuple(min(v, d) for v in t))
+        if key in failed:
+            return None
+        for v in range(rem + 1):
+            if v:
+                t = _add_column(t, vecs[i], step)
+            sub = walk(i - 1, rem - v, t)
+            if sub is not None:
+                return sub + [v]
+        failed.add(key)
+        return None
+
+    return walk(ncols, budget, base_t)
+
+
+def feasible_queries(k, lengths, linear, so):
+    """(d, budget, step, base_t) for every d in 1 .. d_hi + 1 at each n, on
+    the linear base and on every self-orthogonal parity base that fits."""
+    ncols = (1 << k) - 1
+    for n in lengths:
+        bases = [(n, 1, [0] * (ncols + 1))] if linear else []
+        for bmask in _so_parity_masks(k) if so else ():
+            if bmask.bit_count() <= n:
+                bits = [bmask >> i & 1 for i in range(ncols + 1)]
+                bases.append(((n - sum(bits)) // 2, 2, _profile_weights(k, bits)))
+        d_hi = min(n, (n << (k - 1)) // ncols)
+        for d in range(1, d_hi + 2):
+            for budget, step, base_t in bases:
+                yield d, budget, step, base_t
+
+
+@pytest.mark.parametrize(
+    "k, lengths, linear, so",
+    [
+        (1, range(1, 13), True, True),
+        (2, range(1, 13), True, True),
+        (3, range(1, 13), True, True),
+        (4, range(1, 10), True, True),
+        (5, range(1, 5), True, False),
+        (5, range(1, 9), False, True),
+    ],
+)
+def test_feasible_bounds_keep_the_first_witness(k, lengths, linear, so):
+    # the bounded loop skips only children that fail, so it returns the very
+    # unit vector the unbounded loop does, not just one of the same distance
+    for d, budget, step, base_t in feasible_queries(k, lengths, linear, so):
+        expected = ref_feasible(d, budget, step, base_t, k)
+        assert _feasible(d, budget, step, base_t, k) == expected, (k, d, budget, step)
+
+
 @pytest.mark.parametrize("n", [384, 401])
 @pytest.mark.parametrize("so", [False, True])
 def test_enumerate_k2_past_distance_256(n, so):
@@ -241,7 +321,11 @@ def test_so_parity_masks_match_scan(k, count):
 
 
 def test_enumerate_caps():
-    with pytest.raises(CapExceededError):
+    # the refusal names the size of the profile space and the cap
+    with pytest.raises(CapExceededError, match=(
+        r"^C\(n \+ 2\^k - 1, 2\^k - 1\) = C\(55, 15\) = 11899700525790 "
+        r"profiles > PROFILE_SPACE_CAP = 100000000$"
+    )):
         enumerate_codes_by_profile(40, 4, False)
     with pytest.raises(DomainError):
         enumerate_codes_by_profile(10, 5, False)
