@@ -118,15 +118,14 @@ def _feasible(
       v <= rem - ceil(max gap / step), or the child fails its worst-gap test;
     - ceiling from dominance: v <= c = ceil(max gap over the hit messages /
       step).  Every v > c leaves the weights, capped at d, as v = c leaves
-      them, with less budget.  A node's outcome depends only on its capped
-      weights and its budget, and a node that fails fails with less budget,
-      so such a child fails whenever the loop reaches it.  A unit is `step`
-      copies, so when step = 2 the parity of column i stays as the caller
-      chose it.
+      them, with less budget.  Whether a node is feasible depends only on
+      its capped weights and its budget, and less budget never helps, so
+      the loop reaches such a child only after the v = c child failed, and
+      it fails too.  A unit is `step` copies, so when step = 2 the parity
+      of column i stays as the caller chose it.
 
-    Each skipped child would have returned None, the loop stays ascending,
-    and `failed` holds only nodes that are infeasible, so the witness is the
-    one the unbounded loop finds.
+    Each skipped child would have returned None and the loop stays
+    ascending, so the witness is the one the unbounded loop finds.
     """
     hits = _hit_masks(k)
     vecs = _hit_vectors(k)
@@ -135,22 +134,15 @@ def _feasible(
     coverage = [0] * (ncols + 2)
     for i in range(1, ncols + 1):
         coverage[i] = coverage[i - 1] | hits[i]
-    failed: set[tuple[int, int, int]] = set()
-    width = d.bit_length()
 
     def walk(i: int, rem: int, t: list[int]) -> list[int] | None:
         hit = vecs[i]
         below = coverage[i - 1]
-        # The weights, capped at d, packed width bits apart into one int: an
-        # exact key for any d, and a compact one for a memo that grows large.
-        capped = deficit = floor_gap = hit_worst = miss_worst = 0
+        deficit = floor_gap = hit_worst = miss_worst = 0
         for x in range(1, ncols + 1):
-            w = t[x]
-            gap = d - w
+            gap = d - t[x]
             if gap <= 0:
-                capped = capped << width | d
                 continue
-            capped = capped << width | w
             deficit += gap
             if hit[x]:
                 if gap > hit_worst:
@@ -166,9 +158,6 @@ def _feasible(
             return [0] * i
         if max(hit_worst, miss_worst) > step * rem or deficit > step * rem * half:
             return None
-        key = (i, rem, capped)
-        if key in failed:
-            return None
         lo = -(-floor_gap // step)
         hi = min(rem + (-miss_worst // step), -(-hit_worst // step))
         if lo:
@@ -180,7 +169,6 @@ def _feasible(
             if sub is not None:
                 sub.append(v)
                 return sub
-        failed.add(key)
         return None
 
     return walk(ncols, budget, base_t)
@@ -334,6 +322,39 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
     return tuple(leaders)
 
 
+def _weight_levels(t: list[int], m: int) -> list[int]:
+    """lev[j], j < 3: the mask of the messages x >= 1 of weight m + j, m the
+    least weight in t[1:]."""
+    lev = [0, 0, 0]
+    for x in range(1, len(t)):
+        j = t[x] - m
+        if j < 3:
+            lev[j] |= 1 << x
+    return lev
+
+
+def _improving_move(
+    lev: list[int], hits: tuple[int, ...], donors: list[int], receivers: list[int]
+) -> tuple[int, int] | None:
+    """The first (a, b), a over donors then b over receivers, whose move of
+    two columns from a to b raises the score (m, -count at m) of weights of
+    least weight m and _weight_levels lev, or None.  Weights rise by 2 on
+    hits[b] & ~hits[a] and fall by 2 on hits[a] & ~hits[b]: the score rises
+    exactly when nothing of weight m or m + 1 falls and more messages leave
+    weight m than fall onto it from m + 2."""
+    low, mid, top = lev
+    for a in donors:
+        hit_a = hits[a]
+        need, rise, fall = hit_a & (low | mid), low & ~hit_a, top & hit_a
+        for b in receivers:
+            hit_b = hits[b]
+            if hit_b & need == need and (
+                (rise & hit_b).bit_count() > (fall & ~hit_b).bit_count()
+            ):
+                return a, b
+    return None
+
+
 def random_so_search(
     n: int,
     k: int,
@@ -347,11 +368,12 @@ def random_so_search(
     only if already self-orthogonal; otherwise candidates come from greedy
     balanced column growth with a minimal parity repair, from embedding a
     shorter random matrix and padding back with duplicated column pairs, or
-    (when n is long enough) from a simplex juxtaposition.  Every candidate
-    is then improved by parity-preserving local moves (shifting duplicate
-    pairs between indices, or flipping a parity pattern whose outer
-    products cancel).  Deterministic for a given seed; returns 0 if no
-    trial produces a rank-k self-orthogonal matrix.
+    (when n is long enough) from a simplex juxtaposition.  Local moves
+    that keep the parities then improve it: duplicate pairs shift between
+    indices, scored by masks of the messages at the three lowest weights,
+    not by rebuilding the weights, and parity patterns whose outer products
+    cancel flip.  Deterministic for a given seed; 0 if no trial produces a
+    rank-k self-orthogonal matrix.
     """
     found, _ = random_so_profile_search(n, k, trials, target_d, rng_seed)
     return found
@@ -373,6 +395,7 @@ def random_so_profile_search(
         raise CapExceededError("random search supports k <= 8")
     rng = random.Random(rng_seed)
     ncols = (1 << k) - 1
+    hits = _hit_masks(k)
     vecs = _hit_vectors(k)
     kernel = _parity_kernel_basis(k)
     sym_masks = _sym_masks(k)
@@ -381,18 +404,18 @@ def random_so_profile_search(
     best_profile: ColumnProfile | None = None
 
     def greedy_candidate() -> list[int] | None:
-        """Grow columns maximizing the running minimum weight, then flip a
-        minimal parity set (syndrome-decoded) to land on self-orthogonality."""
+        """Grow columns maximizing the running minimum weight m (m + 1 after
+        column i exactly when i hits the mask low of the messages of weight
+        m), then flip a minimal parity set (syndrome-decoded) to land on
+        self-orthogonality."""
         ell = [0] * (ncols + 1)
         t = [0] * (ncols + 1)
         reserve = rng.randrange(0, 5)
         for _ in range(max(n - reserve, 0)):
-            options = []
-            for i in range(1, ncols + 1):
-                h = vecs[i]
-                worst = min(t[x] + h[x] for x in range(1, ncols + 1))
-                options.append((worst, rng.random(), i))
-            _, _, pick = max(options)
+            low = _weight_levels(t, min(t[1:]))[0]
+            _, _, pick = max(
+                (not low & ~hits[i], rng.random(), i) for i in range(1, ncols + 1)
+            )
             ell[pick] += 1
             t = _add_column(t, vecs[pick], 1)
         syn = 0
@@ -408,9 +431,6 @@ def random_so_profile_search(
                     ell[i] -= 1
                 else:
                     return None
-        if sum(ell[1:]) > n:
-            return None
-        ell[0] = n - sum(ell[1:])
         return ell
 
     def score_of(t: list[int]) -> tuple[int, int]:
@@ -429,27 +449,22 @@ def random_so_profile_search(
         for _ in range(60 * ncols):
             if target_d is not None and cur[0] >= target_d:
                 break
-            worst = t[1:].index(cur[0]) + 1
+            lev = _weight_levels(t, cur[0])
+            worst = lev[0] & -lev[0]
             # move a duplicate pair onto a column covering the worst message
             donors = [i for i in range(ncols + 1) if ell[i] >= 2]
-            receivers = [i for i in range(1, ncols + 1) if vecs[i][worst]]
+            receivers = [i for i in range(1, ncols + 1) if hits[i] & worst]
             rng.shuffle(donors)
             rng.shuffle(receivers)
-            moved = False
-            for a in donors:
-                for b in receivers:
-                    if a == b:
-                        continue
-                    t2 = _add_column(_add_column(t, vecs[b], 2), vecs[a], -2)
-                    if score_of(t2) > cur:
-                        ell[a] -= 2
-                        ell[b] += 2
-                        t, cur = t2, score_of(t2)
-                        moved = True
-                        break
-                if moved:
-                    break
-            if not moved and kernel:
+            move = _improving_move(lev, hits, donors, receivers)
+            moved = move is not None
+            if moved:
+                a, b = move
+                ell[a] -= 2
+                ell[b] += 2
+                t = _add_column(_add_column(t, vecs[b], 2), vecs[a], -2)
+                cur = score_of(t)
+            elif kernel:
                 # flip the parity of a cancelling index set; the zero-column
                 # count absorbs any imbalance so the length stays n
                 mask = kernel[rng.randrange(len(kernel))]
@@ -470,12 +485,9 @@ def random_so_profile_search(
                         ell[:] = trial
                         t, cur = t2, score_of(t2)
                         moved = True
-            if not moved:
-                stalls += 1
-                if stalls > 8:
-                    break
-            else:
-                stalls = 0
+            stalls = 0 if moved else stalls + 1
+            if stalls > 8:
+                break
         return cur[0] if cur[0] > 0 else 0
 
     for _ in range(trials):

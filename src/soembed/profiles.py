@@ -210,7 +210,8 @@ def _gram_mask(m: BinaryMatrix) -> int:
     return acc
 
 
-def _parity_kernel_basis(k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _parity_kernel_basis(k: int) -> tuple[int, ...]:
     """Index sets (as bitmasks) whose columns' outer products cancel.
 
     Flipping the multiplicity parity on such a set preserves the Gram
@@ -231,7 +232,7 @@ def _parity_kernel_basis(k: int) -> list[int]:
                 break
         else:
             kernel.append(t)
-    return kernel
+    return tuple(kernel)
 
 
 @lru_cache(maxsize=None)

@@ -242,7 +242,7 @@ def test_oracle_enumerate(capsys):
 
 @pytest.mark.parametrize("so", [False, True])
 def test_oracle_enumerate_distance_past_255(so, capsys):
-    # d >= 256 once n >= 384 at k = 2; the search memo must not cap values
+    # d >= 256 once n >= 384 at k = 2; the search must not cap weights at 255
     so_flag = ["--so"] if so else []
     assert main(["oracle", "enumerate", "--n", "384", "--k", "2", *so_flag]) == 0
     assert "best distance: 256" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Brute-force oracles: worked values, cross-checks, determinism."""
 
+import hashlib
 import itertools
 import random
 
@@ -25,8 +26,11 @@ from soembed.oracle import (
     EnumerationResult,
     _coset_leaders,
     _feasible,
+    _improving_move,
+    _weight_levels,
     enumerate_codes_by_profile,
     min_embedding_oracle,
+    random_so_profile_search,
     random_so_search,
     verify_claims_prop414,
 )
@@ -305,8 +309,7 @@ def test_feasible_bounds_keep_the_first_witness(k, lengths, linear, so):
 @pytest.mark.parametrize("n", [384, 401])
 @pytest.mark.parametrize("so", [False, True])
 def test_enumerate_k2_past_distance_256(n, so):
-    # distances of 256 and more: the memo key must hold each weight, capped
-    # at d, in full
+    # distances of 256 and more: no weight or gap may be capped at a byte
     result = enumerate_codes_by_profile(n, 2, so)
     assert result.distance == (dso_opt if so else d_opt)(n, 2).value
     assert result.distance >= 256
@@ -348,9 +351,114 @@ def test_claims_all_odd_pattern():
 
 
 def test_random_search_deterministic():
-    a = random_so_search(12, 3, 50, rng_seed=5)
-    b = random_so_search(12, 3, 50, rng_seed=5)
+    a = random_so_profile_search(12, 3, 50, rng_seed=5)
+    b = random_so_profile_search(12, 3, 50, rng_seed=5)
     assert a == b
+    assert a[1] is not None and a[1].n == 12
+
+
+# (n, k, trials, seed, target, best, sha256(repr(profile))[:16]): the
+# benchmark's verify (k = 5, target dso_opt) and deep (k = 8) searches, and
+# k = 2, 3, 4, 6, 7 with and without a target; "dc937b59892604f5" is None
+RANDOM_SEARCH_PINS = [
+    (16, 5, 100, 5016, 8, 6, "942ca819657d7099"),
+    (20, 5, 100, 5020, 8, 8, "860dc5392f2278e8"),
+    (24, 5, 100, 5024, 12, 10, "9e4f2b86ad9d6103"),
+    (28, 5, 100, 5028, 12, 12, "04b67c525d1cc77e"),
+    (32, 5, 100, 5032, 16, 16, "90480253adc191a5"),
+    (36, 5, 100, 5036, 16, 16, "52b724a221b91e36"),
+    (40, 5, 100, 5040, 20, 20, "1a05d947e9aeca6a"),
+    (44, 5, 100, 5044, 20, 20, "181d1191785fb962"),
+    (48, 5, 100, 5048, 24, 24, "fe136914b8bacaee"),
+    (16, 8, 10, 8016, None, 4, "8935a88b6ea2cd36"),
+    (18, 8, 10, 8018, None, 4, "ebb7dfb567d14c10"),
+    (20, 8, 10, 8020, None, 4, "35f60e7ae5b8d65c"),
+    (22, 8, 10, 8022, None, 6, "445099c2a2ce9ba0"),
+    (24, 8, 10, 8024, None, 0, "dc937b59892604f5"),
+    (26, 8, 10, 8026, None, 8, "b159735c846f2173"),
+    (28, 8, 10, 8028, None, 8, "9aeeabf91765c2a1"),
+    (30, 8, 10, 8030, None, 0, "dc937b59892604f5"),
+    (32, 8, 10, 8032, None, 10, "ef334d63de2df9a9"),
+    (10, 2, 50, 1, None, 6, "300e75f4fdc2bd6a"),
+    (10, 2, 50, 1, 6, 6, "300e75f4fdc2bd6a"),
+    (17, 2, 50, 2, None, 10, "85975b7b5a28af73"),
+    (17, 2, 50, 2, 10, 10, "85975b7b5a28af73"),
+    (12, 3, 100, 3, None, 6, "f29e15294435a4bb"),
+    (12, 3, 100, 3, 6, 6, "f29e15294435a4bb"),
+    (21, 3, 100, 4, None, 12, "596e263f2b3d6163"),
+    (21, 3, 100, 4, 10, 10, "644d9c1761e09ff6"),
+    (12, 4, 100, 5, None, 4, "85d33e7ab89a9b3f"),
+    (12, 4, 100, 5, 6, 4, "85d33e7ab89a9b3f"),
+    (19, 4, 100, 6, None, 8, "e9190de343c52e17"),
+    (19, 4, 100, 6, 8, 8, "99b41197e7e7da99"),
+    (24, 6, 30, 7, None, 8, "d03b7be690a5b338"),
+    (24, 6, 30, 7, 10, 8, "d03b7be690a5b338"),
+    (40, 6, 20, 8, None, 16, "56aafb0513915717"),
+    (40, 6, 20, 8, 16, 16, "a9e3d771f2d203cd"),
+    (28, 7, 20, 9, None, 10, "1d3b2a5d36adb91f"),
+    (28, 7, 20, 9, 12, 10, "1d3b2a5d36adb91f"),
+    (48, 7, 10, 10, None, 20, "b60ebfb5d4468e32"),
+    (48, 7, 10, 10, 20, 20, "b60ebfb5d4468e32"),
+]
+
+
+@pytest.mark.parametrize("n, k, trials, seed, target, best, digest", RANDOM_SEARCH_PINS)
+def test_random_search_pinned(n, k, trials, seed, target, best, digest):
+    # every rng call, its order and every accepted move are fixed, so the
+    # witness profile is too, not just its distance
+    found, profile = random_so_profile_search(n, k, trials, target, seed)
+    assert found == best
+    assert hashlib.sha256(repr(profile).encode()).hexdigest()[:16] == digest
+
+
+def ref_score(t):
+    dmin = min(t[1:])
+    return dmin, -t[1:].count(dmin)
+
+
+def ref_move_improves(t, cur, a, b):
+    """The climb's scoring before level masks: rebuild the weights t, of
+    score cur, after moving two columns from index a to index b."""
+    vecs = _hit_vectors((len(t) - 1).bit_length())
+    return ref_score(_add_column(_add_column(t, vecs[b], 2), vecs[a], -2)) > cur
+
+
+@st.composite
+def random_profiles(draw):
+    k = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32))
+    sparse = draw(st.sampled_from([0.5, 0.8, 0.95]))
+    rng = random.Random(seed)
+    counts = [0 if rng.random() < sparse else rng.randint(1, 5) for _ in range(1 << k)]
+    return k, counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_profiles())
+def test_level_masks_match_weight_rebuild(profile):
+    # the climb's donors (two or more copies, zero column included) and
+    # receivers (the columns that hit the first message of least weight)
+    k, counts = profile
+    hits = _hit_masks(k)
+    t = _profile_weights(k, counts)
+    cur = ref_score(t)
+    lev = _weight_levels(t, cur[0])
+    ncols = (1 << k) - 1
+    worst = t[1:].index(cur[0]) + 1
+    donors = [a for a in range(ncols + 1) if counts[a] >= 2]
+    receivers = [b for b in range(1, ncols + 1) if hits[b] >> worst & 1]
+    moves = [(a, b) for a in donors for b in receivers]
+    improving = [(a, b) for a, b in moves if ref_move_improves(t, cur, a, b)]
+    expected = set(improving)
+    for a, b in moves:
+        found = _improving_move(lev, hits, [a], [b])
+        assert (found is not None) == ((a, b) in expected), (k, a, b)
+    assert _improving_move(lev, hits, donors, receivers) == next(iter(improving), None)
+    # greedy's worst weight after one more copy of column i
+    vecs = _hit_vectors(k)
+    for i in range(1, ncols + 1):
+        after = min(t[x] + vecs[i][x] for x in range(1, ncols + 1))
+        assert cur[0] + (not lev[0] & ~hits[i]) == after, (k, i)
 
 
 @pytest.mark.parametrize("trials", [0, -4])
