@@ -2,9 +2,10 @@
 """Regenerate the bundled seed codes under src/soembed/data/seeds/.
 
 Every seed is found by search or assembled from verified building blocks,
-then written together with a JSON sidecar; the registry re-verifies rank,
-distance, and self-orthogonality on every load, so nothing here is trusted
-blindly.  Deterministic: fixed search seeds throughout.
+then written together with a JSON sidecar.  The registry's load checks
+(rank, distance, self-orthogonality) run on each seed before it is written
+and again on every load, so nothing here is trusted blindly.
+Deterministic: fixed search seeds throughout.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from soembed.constructions import SeedEntry, _validate_seed  # noqa: E402
 from soembed.distances import d_opt, dso_opt  # noqa: E402
 from soembed.embedding import embed  # noqa: E402
 from soembed.gf2 import (  # noqa: E402
     BinaryMatrix,
-    gram,
     horizontal_join,
-    min_distance,
     parse_matrix,
-    rank,
     simplex_matrix,
 )
 from soembed.oracle import random_so_profile_search, targeted_profile  # noqa: E402
@@ -33,12 +32,8 @@ OUT_ROOT = Path(__file__).resolve().parents[1] / "src" / "soembed" / "data" / "s
 
 
 def write_seed(m: BinaryMatrix, t: int, k: int, so: bool, d: int, prov: str) -> None:
-    assert m.k == k and m.n == t, (m.k, m.n, t, k)
-    assert rank(m) == k, (t, k, so)
-    assert min_distance(m) == d, (t, k, so, min_distance(m), d)
-    if so:
-        assert gram(m).is_zero(), (t, k)
     sub = OUT_ROOT / f"k{k}" / ("so" if so else "lin")
+    _validate_seed(SeedEntry(t, k, so, m, d, prov), sub / f"t{t}.json")
     sub.mkdir(parents=True, exist_ok=True)
     (sub / f"t{t}.txt").write_text(m.to_text() + "\n")
     meta = {"t": t, "k": k, "so": so, "declared_d": d, "provenance": prov}

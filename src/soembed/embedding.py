@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidPolicyError, RankDeficientError
-from .gf2 import BinaryMatrix, gram, rank
+from .gf2 import BinaryMatrix, _bits, gram, rank
 from .profiles import column_profile
-from .tables import _bits, _dim4_projected_counts, _parity_flips
+from .tables import _dim4_projected_counts, _parity_flips
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"

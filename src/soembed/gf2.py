@@ -144,6 +144,11 @@ def _row_ip(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def gram(m: BinaryMatrix) -> BinaryMatrix:
     """The k x k matrix of pairwise row inner products mod 2."""
     out = []
@@ -338,7 +343,7 @@ def _sliced_min_weight(basis: Sequence[int], n: int) -> int:
     singles, multiples, flat = [], [], 0
     # a group's lane vector has bit x set iff the group's pattern has a 1
     # in the combination x of the low rows
-    tags = [_index_bit_mask(lanes, i) for i in range(lanes)]
+    tags = _bit_masks(lanes)
     for vec, cols in _split_columns(basis[:lanes], n, tags):
         if not vec:
             flat = cols  # the low rows are 0 here, so every lane has h's bits
@@ -542,20 +547,27 @@ def _index_bit_mask(k: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _bit_masks(k: int) -> tuple[int, ...]:
+    """_index_bit_mask(k, b) for b = 0 .. k - 1, built once per k.
+
+    Their XOR combinations are the hit masks.  A pair mask is one AND of
+    two of them, so the k(k + 1)/2 pair masks never need to be held at once.
+    """
+    return tuple(_index_bit_mask(k, b) for b in range(k))
+
+
+@lru_cache(maxsize=None)
 def _hit_masks(k: int) -> tuple[int, ...]:
     """hit[i] has bit x set iff column index i contributes to message x,
-    that is iff <x, i> is odd."""
-    return tuple(
-        sum(1 << x for x in range(1 << k) if (x & i).bit_count() & 1)
-        for i in range(1 << k)
-    )
+    that is iff <x, i> is odd: the XOR of the bit masks of i's set bits."""
+    return tuple(_span(_bit_masks(k)))
 
 
 def simplex_matrix(k: int) -> BinaryMatrix:
     """The k x (2**k - 1) matrix whose column j is the column of index j + 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = tuple(_index_bit_mask(k, k - 1 - pos) >> 1 for pos in range(k))
+    rows = tuple(mask >> 1 for mask in reversed(_bit_masks(k)))
     return BinaryMatrix(k, (1 << k) - 1, rows)
 
 

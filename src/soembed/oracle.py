@@ -1,15 +1,21 @@
-"""Independent brute-force ground truth for embeddings and optimal distances.
+"""Brute-force ground truth for embeddings and optimal distances, and a
+randomized search for good self-orthogonal codes.
 
-Nothing here trusts the closed-form machinery it is used to check: minimal
+Two oracles do not use the closed-form machinery they check.  Minimal
 embeddings come from an exhaustive meet-in-the-middle breadth-first search
-over Gram syndromes, the states reachable by appending columns, and optimal
-distances from exhaustive search over column-multiplicity profiles (which
-determine a code up to column permutation).  The self-orthogonal parity
-patterns that search may use are the kernel of the map sending an index
-set to the XOR of its columns' outer products, found by elimination, not
-read from the dimension-4 split tables.  The column-multiset algebra they
-run on (weights, Gram syndromes, parity kernel) lives in
+over Gram syndromes, the states reachable by appending columns.  Optimal
+distances come from exhaustive search over column-multiplicity profiles
+(which determine a code up to column permutation).  The self-orthogonal
+parity patterns that search may use are the kernel of the map sending an
+index set to the XOR of its columns' outer products, found by elimination,
+not read from the dimension-4 split tables.  The column-multiset algebra
+both run on (weights, Gram syndromes, parity kernel) lives in
 :mod:`soembed.profiles`.
+
+The rest reuses the package.  random_so_profile_search starts some of its
+trials from :func:`soembed.embedding.embed` output, and
+verify_claims_prop414 sweeps the class masks and projected counts of
+:mod:`soembed.tables`, the ones the embedding reads.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import lru_cache
 
 from .embedding import embed
 from .errors import CapExceededError, DomainError, NoSOCodeError
-from .gf2 import BinaryMatrix, _hit_masks, gram, rank, random_matrix
+from .gf2 import BinaryMatrix, _bits, _hit_masks, gram, rank, random_matrix
 from .profiles import (
     ColumnProfile,
     _add_column,
@@ -268,8 +274,8 @@ class Claims414:
 def verify_claims_prop414() -> Claims414:
     """Sweep every odd-parity pattern that projects to 7 = 3 + 4 or 6
     columns on the first split and record the worst minimized total."""
-    bits7 = sorted(i for i in range(1, 16) if (CLASS7_MASKS[0] >> i) & 1)
-    bits8 = sorted(i for i in range(1, 16) if (CLASS8_MASKS[0] >> i) & 1)
+    bits7 = _bits(CLASS7_MASKS[0])
+    bits8 = _bits(CLASS8_MASKS[0])
 
     def sweep(size7: int, size8: int) -> tuple[int, int]:
         worst = 0
@@ -422,15 +428,13 @@ def random_so_profile_search(
         for i in range(1, ncols + 1):
             if ell[i] & 1:
                 syn ^= sym_masks[i]
-        flips = leaders[syn]
-        for i in range(1, ncols + 1):
-            if (flips >> i) & 1:
-                if sum(ell[1:]) < n:
-                    ell[i] += 1
-                elif ell[i] >= 1:
-                    ell[i] -= 1
-                else:
-                    return None
+        for i in _bits(leaders[syn]):
+            if sum(ell[1:]) < n:
+                ell[i] += 1
+            elif ell[i] >= 1:
+                ell[i] -= 1
+            else:
+                return None
         return ell
 
     def score_of(t: list[int]) -> tuple[int, int]:
@@ -471,9 +475,8 @@ def random_so_profile_search(
                 for kb in kernel:
                     if rng.random() < 0.3:
                         mask ^= kb
-                idxs = [i for i in range(1, ncols + 1) if (mask >> i) & 1]
                 trial = ell.copy()
-                for i in idxs:
+                for i in _bits(mask):
                     if trial[i] >= 1 and rng.random() < 0.5:
                         trial[i] -= 1
                     else:

@@ -23,9 +23,10 @@ from typing import Sequence
 from .errors import CapExceededError, WrongDimensionError
 from .gf2 import (
     BinaryMatrix,
+    _bit_masks,
     _hit_masks,
-    _index_bit_mask,
     _row_ip,
+    _span,
     _split_columns,
     gram,
     horizontal_join,
@@ -90,16 +91,6 @@ def _column_counts(m: BinaryMatrix) -> list[int]:
     for idx, cols in _split_columns(m.rows, m.n, tags):
         counts[idx] = cols.bit_count()
     return counts
-
-
-@lru_cache(maxsize=None)
-def _bit_masks(k: int) -> tuple[int, ...]:
-    """_index_bit_mask(k, b) for b = 0 .. k - 1, built once per k.
-
-    Only these k masks of 2**k bits are kept; a pair mask is one AND of two
-    of them, so the k(k + 1)/2 pair masks never need to be held at once.
-    """
-    return tuple(_index_bit_mask(k, b) for b in range(k))
 
 
 def is_so_profile(m: BinaryMatrix) -> bool:
@@ -175,21 +166,10 @@ def _profile_weights(k: int, counts: Sequence[int]) -> list[int]:
 
 
 def _sym_mask(col_bits: int, k: int) -> int:
-    """Pack the outer product of a column with itself into an int.
-
-    Bit positions enumerate the pairs (i, j), i <= j, of a symmetric k x k
-    bit matrix.  XOR of these masks tracks how appended columns change the
-    Gram matrix.
-    """
-    acc = 0
-    pos = 0
-    for i in range(k):
-        bi = (col_bits >> (k - 1 - i)) & 1
-        for j in range(i, k):
-            bj = (col_bits >> (k - 1 - j)) & 1
-            acc |= (bi & bj) << pos
-            pos += 1
-    return acc
+    """The outer product of column index col_bits with itself, packed like
+    _gram_mask: the Gram matrix of the one-column matrix.  XOR of these
+    masks tracks how appended columns change the Gram matrix."""
+    return _gram_mask(horizontal_join(BinaryMatrix(k, 0, (0,) * k), [col_bits]))
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +179,12 @@ def _sym_masks(k: int) -> tuple[int, ...]:
 
 
 def _gram_mask(m: BinaryMatrix) -> int:
-    """The Gram matrix of m packed like _sym_mask: the XOR of _sym_mask over
-    the indices of odd multiplicity."""
+    """The Gram matrix of m packed into an int.
+
+    Bit positions enumerate the pairs (i, j), i <= j, of the symmetric
+    k x k matrix, row-major.  It is the XOR of _sym_mask over the indices
+    of odd multiplicity.
+    """
     acc = 0
     pos = 0
     for i in range(m.k):
@@ -239,10 +223,7 @@ def _parity_kernel_basis(k: int) -> tuple[int, ...]:
 def _so_parity_masks(k: int) -> tuple[int, ...]:
     """All multiplicity-parity vectors (bit i = parity of ell_i) that give
     a self-orthogonal code: the span of the parity kernel, ascending."""
-    span = [0]
-    for b in _parity_kernel_basis(k):
-        span += [m ^ b for m in span]
-    return tuple(sorted(span))
+    return tuple(sorted(_span(_parity_kernel_basis(k))))
 
 
 __all__ = [

@@ -22,18 +22,13 @@ from __future__ import annotations
 
 import itertools
 
-from .gf2 import _hit_masks
+from .gf2 import _bits, _hit_masks
 
 Pair = tuple[int, int]
 
 
 def _rev4(s: int) -> int:
     return int(f"{s:04b}"[::-1], 2)
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _pair_families(s: int) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soembed.embedding import (
-    TIE4_INTERSECT,
-    EmbedPolicy,
-    _dim4_projected_counts,
-    embed,
-)
+from soembed.embedding import TIE4_INTERSECT, EmbedPolicy, embed
 from soembed.errors import InvalidPolicyError, RankDeficientError
 from soembed.gf2 import (
     BinaryMatrix,
@@ -35,7 +30,7 @@ from soembed.profiles import (
     column_profile,
     matrix_from_profile,
 )
-from soembed.tables import CLASS7_MASKS, CLASS8_MASKS
+from soembed.tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
 
 MAX_ADDED = {1: 1, 2: 3, 3: 3, 4: 5, 5: 6}
 
@@ -145,9 +140,6 @@ def test_dim4_tie_rule_same_count():
 
 
 def test_dim4_any_valid_split_same_count():
-    from soembed.embedding import _dim4_projected_counts
-    from soembed.profiles import column_profile
-
     rng = random.Random(33)
     for _ in range(80):
         m = random_full_rank_matrix(rng, 4, rng.randint(4, 16))

@@ -34,7 +34,7 @@ from soembed.oracle import (
     random_so_search,
     verify_claims_prop414,
 )
-from soembed.embedding import _dim4_projected_counts
+from soembed.tables import _dim4_projected_counts
 from soembed.profiles import (
     ColumnProfile,
     _add_column,
@@ -131,6 +131,22 @@ def test_min_embedding_matches_coset_leaders(m, max_add):
     need = _coset_leaders(m.k)[_gram_mask(m)].bit_count()
     expected = need if need <= max_add else None
     assert min_embedding_oracle(m, max_add) == expected
+
+
+# sha256 of repr(_coset_leaders(k)), the table greedy starts decode with
+COSET_LEADERS_SHA256 = {
+    1: "1f64673779413bef9a029dc55b8d5d14cb3039370b90148a649a5baa4584a2b2",
+    2: "9195a84e3093844f5a983bd030019f20bb0c4924ee450d3a522177987be5da05",
+    3: "8a78f130ef3be996bc77003ce543631e54bd509176ce0698c069cc11340856c8",
+    4: "3e69dcf476c1255454cd5f6107e4d87257d4ec265951c45e7db7befd7e47dbfa",
+    5: "7be1eea6fe70284f7e875e84884edb94d3f84241a2c723c196842c1467a221a3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(COSET_LEADERS_SHA256))
+def test_coset_leaders_pinned(k):
+    digest = hashlib.sha256(repr(_coset_leaders(k)).encode()).hexdigest()
+    assert digest == COSET_LEADERS_SHA256[k]
 
 
 @ORACLE_SETTINGS

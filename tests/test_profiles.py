@@ -1,5 +1,6 @@
 """Column-profile characterizations against the matrix-level ground truth."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from soembed.errors import WrongDimensionError
 from soembed.gf2 import (
+    _hit_masks,
     gram,
     horizontal_join,
     parse_matrix,
@@ -19,7 +21,9 @@ from soembed.profiles import (
     _gram_mask,
     _is_so_odd_mask,
     _profile_weights,
+    _parity_kernel_basis,
     _so_parity_masks,
+    _sym_mask,
     _sym_masks,
     column_profile,
     is_so_dim_check,
@@ -252,3 +256,70 @@ def test_multiset_algebra_agrees_with_matrix(p):
     )
     assert _is_so_odd_mask(k, odd) == (syndrome == 0) == meets_evenly
     assert meets_evenly == gram(m).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the incidence tables, derived from the GF(2) primitives, against the
+# loops that wrote their rules out by hand, and against the tuples those
+# loops built (sha256 of their repr)
+
+
+def ref_sym_mask(col_bits, k):
+    """The outer product of a column with itself, bit k - 1 - i being row
+    i's entry, packed pair (i, j), i <= j, by pair, row-major."""
+    acc = 0
+    pos = 0
+    for i in range(k):
+        bi = (col_bits >> (k - 1 - i)) & 1
+        for j in range(i, k):
+            bj = (col_bits >> (k - 1 - j)) & 1
+            acc |= (bi & bj) << pos
+            pos += 1
+    return acc
+
+
+def test_hit_masks_match_popcount_definition():
+    for k in range(1, 9):
+        assert _hit_masks(k) == tuple(
+            sum(1 << x for x in range(1 << k) if (x & i).bit_count() & 1)
+            for i in range(1 << k)
+        )
+
+
+def test_sym_mask_matches_double_loop():
+    for k in range(1, 9):
+        for c in range(1 << k):
+            assert _sym_mask(c, k) == ref_sym_mask(c, k)
+
+
+PARITY_KERNEL_SHA256 = {
+    1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    2: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    3: "16293d8cad58a78eb7fe6204e96552ea66ad268939af9c03ed8975a8c065a488",
+    4: "e2c89ba6968032cbb604c8314ef0578e67376f0000743bfc609f051fa1d1c4ef",
+    5: "d3178fead5e39fa87cc905a87a188c5599485750c56027f9c79516bf1346aa2b",
+    6: "e6d31c6c3aff597f0d862f69e204436d9fd64be8ae5d2f068b40c83295982afe",
+    7: "b36e21b1d7bfa7bbf8657eab3731562c9407d4510f56f60f62351e18969f7a3d",
+    8: "1dedd86d0a69ce8ea6597660a8995bcca25b0e7bc66248d5e18f46acc567d5e4",
+}
+SO_PARITY_SHA256 = {
+    1: "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+    2: "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+    3: "962530b4fb960318b533f14a156ce901fb240c644aabdcb6d4956a7c825653e0",
+    4: "0a20e9c107dd948cf6196fa77b260ec63045dda2beb754bec41142b556e1f67d",
+    5: "8d559cd204eb84619c32d795010ad028679c086b31c912e9b4276cfff670a83f",
+}
+
+
+def _sha256(table):
+    return hashlib.sha256(repr(table).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(PARITY_KERNEL_SHA256))
+def test_parity_kernel_basis_pinned(k):
+    assert _sha256(_parity_kernel_basis(k)) == PARITY_KERNEL_SHA256[k]
+
+
+@pytest.mark.parametrize("k", sorted(SO_PARITY_SHA256))
+def test_so_parity_masks_pinned(k):
+    assert _sha256(_so_parity_masks(k)) == SO_PARITY_SHA256[k]
