@@ -66,6 +66,5 @@ from .profiles import (
     is_so_profile,
     matrix_from_profile,
 )
-from .tables import verify_sigma_symmetry
 
 __version__ = "0.1.0"

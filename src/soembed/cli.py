@@ -19,7 +19,6 @@ from . import constructions, distances, golden, oracle, profiles
 from .embedding import EmbedPolicy, embed
 from .errors import MatrixParseError, MissingSeedError, NoSOCodeError, SoEmbedError
 from .gf2 import BinaryMatrix, min_distance, parse_matrix, rank
-from .tables import dim4_tables_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -168,7 +167,7 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.dump:
-        print(json.dumps(dim4_tables_json(), indent=2))
+        print(json.dumps(profiles.dim4_tables_json(), indent=2))
         return EXIT_OK
     print("nothing to do (use --dump)")
     return EXIT_OK
@@ -226,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("min-embed", help="minimal embedding size by search")
     q.add_argument("file")
-    q.add_argument("--max-add", type=int, default=8, dest="max_add")
+    q.add_argument(
+        "--max-add", type=int, default=oracle.ORACLE_ADD_CAP, dest="max_add"
+    )
     q.set_defaults(func=cmd_oracle_min_embed)
 
     q = osub.add_parser("enumerate", help="best distance by profile search")

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidPolicyError, RankDeficientError
 from .gf2 import BinaryMatrix, _bits, gram, rank
-from .profiles import column_profile
-from .tables import _dim4_projected_counts, _parity_flips
+from .profiles import _parity_flips, column_profile
 
 TIE4_INTERSECT = "intersect"
 TIE4_DIFFERENCE = "difference"
@@ -89,19 +88,12 @@ class EmbedReport:
 
 
 def _flip_masks(odd: int, k: int, policy: EmbedPolicy) -> tuple[int, ...]:
-    """The parity rule's flips (tables._parity_flips) for a matrix of k <= 4
+    """The parity rule's flips (profiles._parity_flips) for a matrix of k <= 4
     rows with odd-multiplicity indices odd, once the policy is checked."""
     if k < 4 and policy != DEFAULT_POLICY:
         raise InvalidPolicyError(
             f"a policy needs the dimension-4 step; the matrix has {k} rows"
         )
-    if policy.s0 is not None:
-        totals = _dim4_projected_counts(odd)
-        got, best = totals[policy.s0 - 1], min(totals)
-        if got != best:
-            raise InvalidPolicyError(
-                f"s0={policy.s0} appends {got} columns, minimum is {best}"
-            )
     return _parity_flips(odd, k, policy.s0, policy.tie4 == TIE4_INTERSECT)
 
 

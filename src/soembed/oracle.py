@@ -14,8 +14,8 @@ both run on (weights, Gram syndromes, parity kernel) lives in
 
 The rest reuses the package.  random_so_profile_search starts some of its
 trials from :func:`soembed.embedding.embed` output, and
-verify_claims_prop414 sweeps the class masks and projected counts of
-:mod:`soembed.tables`, the ones the embedding reads.
+verify_claims_prop414 sweeps the dimension-4 class masks and projected
+counts of :mod:`soembed.profiles`, the ones the embedding reads.
 """
 
 from __future__ import annotations
@@ -30,18 +30,22 @@ from .embedding import embed
 from .errors import CapExceededError, DomainError, NoSOCodeError
 from .gf2 import BinaryMatrix, _bits, _hit_masks, gram, rank, random_matrix
 from .profiles import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
     ColumnProfile,
     _add_column,
     _column_counts,
+    _dim4_projected_counts,
     _gram_mask,
     _hit_vectors,
     _is_so_odd_mask,
+    _odd_mask,
+    _odd_syndrome,
     _parity_kernel_basis,
     _profile_weights,
     _so_parity_masks,
     _sym_masks,
 )
-from .tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
 
 PROFILE_SPACE_CAP = 10**8
 ORACLE_K_CAP = 6
@@ -404,7 +408,6 @@ def random_so_profile_search(
     hits = _hit_masks(k)
     vecs = _hit_vectors(k)
     kernel = _parity_kernel_basis(k)
-    sym_masks = _sym_masks(k)
     leaders = _coset_leaders(k) if k <= 5 else None
     best = 0
     best_profile: ColumnProfile | None = None
@@ -424,11 +427,7 @@ def random_so_profile_search(
             )
             ell[pick] += 1
             t = _add_column(t, vecs[pick], 1)
-        syn = 0
-        for i in range(1, ncols + 1):
-            if ell[i] & 1:
-                syn ^= sym_masks[i]
-        for i in _bits(leaders[syn]):
+        for i in _bits(leaders[_odd_syndrome(k, _odd_mask(ell[1:]))]):
             if sum(ell[1:]) < n:
                 ell[i] += 1
             elif ell[i] >= 1:
@@ -440,10 +439,6 @@ def random_so_profile_search(
     def score_of(t: list[int]) -> tuple[int, int]:
         dmin = min(t[1:])
         return dmin, -t[1:].count(dmin)
-
-    def parity_is_so(ell: list[int]) -> bool:
-        odd = sum(1 << i for i in range(1, ncols + 1) if ell[i] & 1)
-        return _is_so_odd_mask(k, odd)
 
     def climb(ell: list[int]) -> int:
         ell[0] = n - sum(ell[1:])
@@ -522,7 +517,7 @@ def random_so_profile_search(
         if ell is None:
             continue
         found = climb(ell)
-        if found > best and parity_is_so(ell):
+        if found > best and _is_so_odd_mask(k, _odd_mask(ell[1:])):
             best = found
             best_profile = ColumnProfile(k, tuple(ell[1:]), ell[0])
             if target_d is not None and best >= target_d:

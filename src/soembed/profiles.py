@@ -4,7 +4,7 @@ A matrix's column profile counts how many of its columns equal each of the
 2**k - 1 nonzero binary columns.  Self-orthogonality is decidable from the
 profile alone: in general as evenness of all pairwise column-intersection
 counts, and in dimensions 2..4 as parity constancy of the multiplicities
-on every index class, the parity rule of :mod:`soembed.tables` that the
+on every index class, the parity rule (:func:`_parity_flips`) that the
 shortest embedding also reads.
 
 This module is also the one home of the column-multiset algebra that the
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CapExceededError, WrongDimensionError
+from .errors import CapExceededError, InvalidPolicyError, WrongDimensionError
 from .gf2 import (
     BinaryMatrix,
     _bit_masks,
+    _bits,
     _hit_masks,
     _row_ip,
     _span,
@@ -31,7 +32,6 @@ from .gf2 import (
     gram,
     horizontal_join,
 )
-from .tables import _parity_flips
 
 # 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
 PROFILE_K_CAP = 24
@@ -67,7 +67,12 @@ class ColumnProfile:
 
     def parity_mask(self) -> int:
         """Bit i set iff ell_i is odd."""
-        return int("".join("01"[c & 1] for c in reversed(self.ell)) + "0", 2)
+        return _odd_mask(self.ell)
+
+
+def _odd_mask(ell: Sequence[int]) -> int:
+    """Bit i set iff ell[i - 1], the multiplicity of column index i, is odd."""
+    return int("".join("01"[c & 1] for c in reversed(ell)) + "0", 2)
 
 
 def column_profile(m: BinaryMatrix) -> ColumnProfile:
@@ -134,6 +139,114 @@ def so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
+# the parity rule for k <= 4 rows
+#
+# Such a matrix is self-orthogonal exactly when its column multiplicities
+# have constant parity on every index class, and its shortest embedding
+# flips the minority of each class.  For k <= 2 each index is its own class;
+# for k = 3 the indices 1..7 are one.  For k = 4, index i in 1..15 is a
+# nonzero vector of F_2^4 (bit j of i is its j-th coordinate), and the
+# classes are those of some split s = 1..15, which cuts {1..15} along the
+# hyperplane orthogonal to rev4(s), the 4 bits of s reversed: the 8-class
+# holds the i with <i, rev4(s)> = 1 and the 7-class the nonzero vectors of
+# the hyperplane itself.  The pair families group the 14 indices other than
+# s into the pairs (x, x ^ s); `tables --dump` prints them with the classes.
+
+Pair = tuple[int, int]
+
+
+def _rev4(s: int) -> int:
+    return int(f"{s:04b}"[::-1], 2)
+
+
+def _pair_families(s: int) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
+    """The pairs (x, x ^ s), x the member without s's top bit t, by
+    ascending x; a pair is small when x also lacks the highest other bit."""
+    t = s.bit_length() - 1
+    u = 2 if t == 3 else 3
+    pairs = [(x, x ^ s) for x in range(1, 16) if not x >> t & 1]
+    return (
+        tuple(p for p in pairs if not p[0] >> u & 1),
+        tuple(p for p in pairs if p[0] >> u & 1),
+    )
+
+
+# Bit i set for index i; the 8-class of split s is CLASS8_MASKS[s - 1].
+CLASS8_MASKS: tuple[int, ...] = tuple(_hit_masks(4)[_rev4(s)] for s in range(1, 16))
+CLASS7_MASKS: tuple[int, ...] = tuple(0xFFFE ^ m for m in CLASS8_MASKS)
+
+
+def _class_flips(odd_mask: int, cls: int, odd_on_tie: bool = True) -> int:
+    """The indices of class cls whose parity to flip so that it is constant
+    there: the minority parity, or on a tie the odd half if odd_on_tie."""
+    odd = odd_mask & cls
+    twice = 2 * odd.bit_count()
+    size = cls.bit_count()
+    return odd if twice < size or twice == size and odd_on_tie else cls ^ odd
+
+
+def _dim4_projected_counts(odd_mask: int) -> list[int]:
+    """Projected append counts n1[s] + n2[s] for every split, 0-indexed.
+
+    Popcounts inline rather than through _class_flips: the claims414 sweep
+    calls this for thousands of patterns, and the helper call costs ~3x."""
+    totals = []
+    for s in range(15):
+        in7 = (odd_mask & CLASS7_MASKS[s]).bit_count()
+        n1 = in7 if in7 < 4 else 7 - in7
+        in8 = (odd_mask & CLASS8_MASKS[s]).bit_count()
+        n2 = in8 if in8 <= 4 else 8 - in8
+        totals.append(n1 + n2)
+    return totals
+
+
+def _parity_flips(
+    odd: int, k: int, s0: int | None = None, odd_on_tie: bool = True
+) -> tuple[int, ...]:
+    """The indices whose multiplicity parity to flip, one mask per index
+    class in append order, to make a matrix of k <= 4 rows with
+    odd-multiplicity indices odd self-orthogonal in the fewest flips.  At
+    k = 4 the classes are those of split s0, by default the first that
+    minimizes; an s0 that does not minimize raises InvalidPolicyError.
+    odd_on_tie flips the odd half of a tied 8-class, else the even half."""
+    if k <= 2:
+        return (odd,)
+    if k == 3:
+        return (_class_flips(odd, 0b11111110),)
+    totals = _dim4_projected_counts(odd)
+    best = min(totals)
+    if s0 is None:
+        s0 = totals.index(best) + 1
+    elif totals[s0 - 1] != best:
+        raise InvalidPolicyError(
+            f"s0={s0} appends {totals[s0 - 1]} columns, minimum is {best}"
+        )
+    return (
+        _class_flips(odd, CLASS7_MASKS[s0 - 1]),
+        _class_flips(odd, CLASS8_MASKS[s0 - 1], odd_on_tie),
+    )
+
+
+def dim4_tables_json() -> dict:
+    """The 15 pair families and index classes, 1-based in s, for `tables --dump`."""
+    families = [_pair_families(s) for s in range(1, 16)]
+    return {
+        "pairs": [
+            {
+                "s": s,
+                "small": [list(p) for p in small],
+                "large": [list(p) for p in large],
+            }
+            for s, (small, large) in enumerate(families, start=1)
+        ],
+        "classes": [
+            {"s": s, "seven": _bits(m7), "eight": _bits(m8)}
+            for s, (m7, m8) in enumerate(zip(CLASS7_MASKS, CLASS8_MASKS), start=1)
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
 # the column-multiset algebra: a code as the multiplicities of its columns
 
 
@@ -183,7 +296,7 @@ def _gram_mask(m: BinaryMatrix) -> int:
 
     Bit positions enumerate the pairs (i, j), i <= j, of the symmetric
     k x k matrix, row-major.  It is the XOR of _sym_mask over the indices
-    of odd multiplicity.
+    of odd multiplicity: _odd_syndrome of the profile's parity mask.
     """
     acc = 0
     pos = 0
@@ -192,6 +305,16 @@ def _gram_mask(m: BinaryMatrix) -> int:
             acc |= _row_ip(m.rows[i], m.rows[j]) << pos
             pos += 1
     return acc
+
+
+def _odd_syndrome(k: int, odd_mask: int) -> int:
+    """The packed Gram matrix (_gram_mask) of any k-row code whose indices
+    of odd multiplicity are the bits of odd_mask."""
+    sym = _sym_masks(k)
+    syn = 0
+    for i in _bits(odd_mask):
+        syn ^= sym[i]
+    return syn
 
 
 @lru_cache(maxsize=None)

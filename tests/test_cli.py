@@ -253,26 +253,30 @@ def test_oracle_enumerate_distance_past_255(so, capsys):
 ELL_1_TO_14 = ", ".join(f"{i}: 1" for i in range(1, 15))
 
 
+ENUMERATE_PINS = [
+    (["--n", "380", "--k", "2"],
+     "best distance: 253\n"
+     "witness profile: zero_count=0 ell={1: 127, 2: 127, 3: 126}\n"),
+    (["--n", "380", "--k", "2", "--so"],
+     "best distance: 252\n"
+     "witness profile: zero_count=0 ell={1: 128, 2: 128, 3: 124}\n"),
+    (["--n", "14", "--k", "4"],
+     "best distance: 7\n"
+     f"witness profile: zero_count=0 ell={{{ELL_1_TO_14}}}\n"),
+    (["--n", "13", "--k", "4", "--so"],
+     "best distance: 4\n"
+     "witness profile: zero_count=1 ell={2: 2, 3: 2, 4: 2, 5: 2, 8: 4}\n"),
+    (["--n", "38", "--k", "3"],
+     "best distance: 21\n"
+     "witness profile: zero_count=0 "
+     "ell={1: 5, 2: 6, 3: 6, 4: 6, 5: 6, 6: 5, 7: 4}\n"),
+]
+
+
 @pytest.mark.parametrize(
     "args, out",
-    [
-        (["--n", "380", "--k", "2"],
-         "best distance: 253\n"
-         "witness profile: zero_count=0 ell={1: 127, 2: 127, 3: 126}\n"),
-        (["--n", "380", "--k", "2", "--so"],
-         "best distance: 252\n"
-         "witness profile: zero_count=0 ell={1: 128, 2: 128, 3: 124}\n"),
-        (["--n", "14", "--k", "4"],
-         "best distance: 7\n"
-         f"witness profile: zero_count=0 ell={{{ELL_1_TO_14}}}\n"),
-        (["--n", "13", "--k", "4", "--so"],
-         "best distance: 4\n"
-         "witness profile: zero_count=1 ell={2: 2, 3: 2, 4: 2, 5: 2, 8: 4}\n"),
-        (["--n", "38", "--k", "3"],
-         "best distance: 21\n"
-         "witness profile: zero_count=0 "
-         "ell={1: 5, 2: 6, 3: 6, 4: 6, 5: 6, 6: 5, 7: 4}\n"),
-    ],
+    ENUMERATE_PINS,
+    ids=["-".join(a.lstrip("-") for a in args) for args, _ in ENUMERATE_PINS],
 )
 def test_oracle_enumerate_witness_pinned(args, out, capsys):
     # the first witness the search finds, not only its distance

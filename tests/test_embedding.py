@@ -25,12 +25,14 @@ from soembed.gf2 import (
 from soembed import golden
 from soembed.oracle import _coset_leaders
 from soembed.profiles import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
     ColumnProfile,
+    _dim4_projected_counts,
     _gram_mask,
     column_profile,
     matrix_from_profile,
 )
-from soembed.tables import CLASS7_MASKS, CLASS8_MASKS, _dim4_projected_counts
 
 MAX_ADDED = {1: 1, 2: 3, 3: 3, 4: 5, 5: 6}
 

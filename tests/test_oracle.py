@@ -34,10 +34,10 @@ from soembed.oracle import (
     random_so_search,
     verify_claims_prop414,
 )
-from soembed.tables import _dim4_projected_counts
 from soembed.profiles import (
     ColumnProfile,
     _add_column,
+    _dim4_projected_counts,
     _gram_mask,
     _hit_vectors,
     _is_so_odd_mask,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soembed.errors import WrongDimensionError
+from soembed.errors import InvalidPolicyError, WrongDimensionError
 from soembed.gf2 import (
+    _bits,
     _hit_masks,
     gram,
     horizontal_join,
@@ -17,9 +18,17 @@ from soembed.gf2 import (
     simplex_matrix,
 )
 from soembed.profiles import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
     ColumnProfile,
+    _class_flips,
+    _dim4_projected_counts,
     _gram_mask,
     _is_so_odd_mask,
+    _odd_mask,
+    _odd_syndrome,
+    _pair_families,
+    _parity_flips,
     _profile_weights,
     _parity_kernel_basis,
     _so_parity_masks,
@@ -29,16 +38,6 @@ from soembed.profiles import (
     is_so_dim_check,
     is_so_profile,
     matrix_from_profile,
-)
-from soembed.tables import (
-    CLASS7_MASKS,
-    CLASS8_MASKS,
-    _class_flips,
-    _dim4_projected_counts,
-    _pair_families,
-    _parity_flips,
-    validate_tables,
-    verify_sigma_symmetry,
 )
 
 G_10_3 = parse_matrix("0000111111\n0111001111\n1011010001")
@@ -124,10 +123,12 @@ def test_tables_structure():
     for c7, c8 in zip(CLASS7_MASKS, CLASS8_MASKS):
         assert c7.bit_count() == 7 and c8.bit_count() == 8
         assert c7 | c8 == 0xFFFE and not c7 & c8  # a partition of 1..15
-    for s in range(1, 8):
-        small, _ = _pair_families(s)
-        appearing = {x for p in small for x in p}
-        assert appearing == frozenset(range(1, 8)) - {s}
+    for s in range(1, 16):
+        small, large = _pair_families(s)
+        assert len(small) == 3 and len(large) == 4
+        if s <= 7:
+            appearing = {x for p in small for x in p}
+            assert appearing == frozenset(range(1, 8)) - {s}
 
 
 def test_pair_coverage_of_large_indices():
@@ -142,8 +143,37 @@ def test_pair_coverage_of_large_indices():
         assert frozenset(pair) in covered
 
 
+def sigma_symmetry(
+    class7: tuple[int, ...], class8: tuple[int, ...]
+) -> dict[tuple[int, int], int] | None:
+    """Check that relabeling by any split's sorted classes permutes the family.
+
+    For each s, the permutation sending (sorted 7-class, sorted 8-class)
+    onto (1..15) must map every class pair (s', t) onto some class pair
+    (j, t) of the same family.  Returns the witness map (s, i) -> j, or
+    None if the family is not closed.
+    """
+    witness: dict[tuple[int, int], int] = {}
+    pair_lookup = {pair: j for j, pair in enumerate(zip(class7, class8), start=1)}
+    for s in range(1, 16):
+        order = _bits(class7[s - 1]) + _bits(class8[s - 1])
+        if sorted(order) != list(range(1, 16)):
+            return None
+        sigma = {v: pos + 1 for pos, v in enumerate(order)}
+
+        def image(mask: int) -> int:
+            return sum(1 << sigma[x] for x in _bits(mask))
+
+        for i in range(1, 16):
+            j = pair_lookup.get((image(class7[i - 1]), image(class8[i - 1])))
+            if j is None:
+                return None
+            witness[(s, i)] = j
+    return witness
+
+
 def test_sigma_symmetry_witness():
-    witness = verify_sigma_symmetry()
+    witness = sigma_symmetry(CLASS7_MASKS, CLASS8_MASKS)
     assert witness is not None
     assert all(witness[(1, i)] == i for i in range(1, 16))
     assert all(witness[(s, s)] == 1 for s in range(1, 16))
@@ -152,10 +182,16 @@ def test_sigma_symmetry_witness():
 def test_sigma_symmetry_rejects_corruption():
     class7 = list(CLASS7_MASKS)
     class7[0], class7[1] = class7[1], class7[0]
-    broken = (tuple(class7), CLASS8_MASKS)
-    assert verify_sigma_symmetry(*broken) is None
-    with pytest.raises(AssertionError):
-        validate_tables(*broken)
+    assert sigma_symmetry(tuple(class7), CLASS8_MASKS) is None
+
+
+def test_parity_flips_refuses_non_minimizing_split():
+    # seven of the 8-class of split 15 odd: that split alone flips just one
+    odd = sum(1 << i for i in (1, 2, 4, 7, 8, 11, 13))
+    assert _dim4_projected_counts(odd) == [6, 6, 7, 6, 7, 7, 6, 7, 6, 6, 7, 6, 7, 7, 1]
+    with pytest.raises(InvalidPolicyError, match="^s0=1 appends 6 columns, minimum is 1$"):
+        _parity_flips(odd, 4, 1)
+    assert _parity_flips(odd, 4, 15) == _parity_flips(odd, 4)
 
 
 def test_class_flips_dim3_matches_inline_rule():
@@ -245,11 +281,14 @@ def test_multiset_algebra_agrees_with_matrix(p):
                 word ^= m.rows[r]
         assert t[x] == word.bit_count()
     odd = p.parity_mask()
+    assert odd == _odd_mask(p.ell) == sum(
+        1 << i for i, c in enumerate(p.ell, start=1) if c & 1
+    )
     syndrome = 0
     for i in range(1, 1 << k):
         if odd >> i & 1:
             syndrome ^= _sym_masks(k)[i]
-    assert _gram_mask(m) == syndrome
+    assert _gram_mask(m) == _odd_syndrome(k, odd) == syndrome
     # codewords x, y meet in (t[x] + t[y] - t[x ^ y]) / 2 positions
     meets_evenly = all(
         (t[x] + t[y] - t[x ^ y]) % 4 == 0 for x in range(1 << k) for y in range(1 << k)
