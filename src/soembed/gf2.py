@@ -10,9 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from operator import and_, or_, xor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BadCharacterError,
@@ -194,12 +194,14 @@ def min_distance(m: BinaryMatrix) -> int:
     if not basis:
         raise ZeroCodeError("the zero code has no minimum distance")
     table_cost = 1 << len(basis)
-    sliced_cost = _sliced_cost(len(basis), m.n)
+    # where every column pattern can occur (n >= 2**r), the table walk was
+    # the faster walk on every shape measured with r <= 12
+    sliced_cost, lanes = _sliced_plan(len(basis), m.n) if m.n < table_cost else (inf, 0)
     d = _bz_min_weight(basis, m.n, min(table_cost, sliced_cost))
     if d is not None:
         return d
     if sliced_cost < table_cost:
-        return _sliced_min_weight(basis, m.n)
+        return _sliced_min_weight(basis, m.n, lanes)
     return _table_min_weight(basis)
 
 
@@ -221,7 +223,9 @@ def weight_distribution(m: BinaryMatrix) -> dict[int, int]:
 # keep the per-codeword work (XOR, popcount, min or count) inside
 # map/min/Counter, so it runs in C; Python only loops over groups of
 # codewords.  The bit-sliced walk instead gives each codeword one bit of
-# every int it works on, so one big-int operation serves 2**L codewords.
+# every int it works on, so one big-int operation serves 2**L codewords,
+# and it counts the columns once for all 2**(r - L) combinations of the
+# other rows, which an add-only butterfly then shares out.
 
 # The split-table walk tabulates the span of at most this many basis rows.
 _TABLE_BITS = 10
@@ -254,20 +258,15 @@ def _table_min_weight(basis: Sequence[int]) -> int:
     return best
 
 
-# The bit-sliced walk has 2**L lanes.  L is the largest width at which the
-# lane vectors held at once, one per column group and as many in flight,
-# total at most this many bits (1 MiB).
-_LANE_MEMORY_BITS = 1 << 23
+# The bit-sliced walk has 2**L lanes.  L is the width of least estimated
+# cost (_sliced_plan) among those at which what the walk holds at once, by
+# _butterfly_planes, totals at most this many bits (1.25 MiB).
+_LANE_MEMORY_BITS = 10 << 20
+# Bits of Python objects per high-row pattern: its slot in the pairs and
+# the tuples of the butterfly's arrays, measured at 700-1000.
+_PATTERN_BITS = 1024
 # Vectors that one level of the carry-save counter gathers before adding.
 _CSA_CHUNK = 16
-
-
-def _lane_bits(r: int, n: int) -> int:
-    """Lane width L of the bit-sliced walk of a rank-r code of length n."""
-    lanes = r
-    while 2 * min(n, 1 << lanes) << lanes > _LANE_MEMORY_BITS:
-        lanes -= 1
-    return lanes
 
 
 def _full_adders(pending: list[int]) -> list[int]:
@@ -313,8 +312,32 @@ def _carry_save_planes(counter: list[list[int]]) -> list[int]:
     return planes
 
 
+def _plane_sum(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Bit planes of the lane-wise sum of the counts with planes a and b."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a  # plane lists are never changed once built, so they are shared
+    out = []
+    carry = 0
+    for x, y in zip(a, b):
+        s = x ^ y
+        out.append(s ^ carry)
+        carry = x & y | s & carry
+    for t in range(len(b), len(a)):
+        if not carry:
+            return out + list(a[t:])
+        out.append(a[t] ^ carry)
+        carry &= a[t]
+    if carry:
+        out.append(carry)
+    return out
+
+
 def _min_lane(planes: Sequence[int], lanes: int) -> int:
     """Least value that the bit planes hold in the lanes set in lanes."""
+    if not lanes:
+        raise ValueError("no lane to read")
     least = 0
     for t in range(len(planes) - 1, -1, -1):
         zero = lanes & ~planes[t]
@@ -325,80 +348,163 @@ def _min_lane(planes: Sequence[int], lanes: int) -> int:
     return least
 
 
-def _sliced_min_weight(basis: Sequence[int], n: int) -> int:
+def _group_counts(
+    group: Sequence[tuple[int, int]], lane_vector: Callable[[int], int], full: int
+) -> tuple[list[int], list[int]]:
+    """Bit planes of D0 = sum of s * v and D1 = sum of s * (v ^ full) over
+    the (low pattern p, multiplicity s) of a group, v = lane_vector(p).
+
+    D0 goes through the carry-save counter, each set bit of s at its own
+    level.  D1 is total - D0, which on b = total.bit_length() planes is the
+    complement of D0 plus total + 1, less 2**b: the carry out is dropped.
+    """
+    counter: list[list[int]] = []
+    total = sum(s for _, s in group)
+    b = total.bit_length()
+    for level in range(b):
+        ps = [p for p, s in group if s >> level & 1]
+        for i in range(0, len(ps), _CSA_CHUNK):
+            _carry_save_add(counter, level, list(map(lane_vector, ps[i : i + _CSA_CHUNK])))
+    zero = _carry_save_planes(counter)
+    zero += [0] * (b - len(zero))
+    plus = [full if (total + 1) >> t & 1 else 0 for t in range(b)]
+    return zero, _plane_sum([x ^ full for x in zero], plus)[:b]
+
+
+def _butterfly(pairs: list[tuple[list[int], list[int]]]) -> Iterable[list[int]]:
+    """Yield the count W_t for each of the 2**m sums t of the high rows,
+    t = 0 first.
+
+    pairs[q] holds D0 and D1 of the columns on which the high rows put the
+    pattern q; a column counts in D0 at t if <t, q> is even, else in D1.
+    Splitting on q's top bit, the halves' pairs (A0, B0) and (A1, B1)
+    become (A0 + A1, B0 + B1) for t's bit 0 and (A0 + B1, B0 + A1) for its
+    bit 1, so each level halves the pairs, and the 2**m leaves cost about
+    2m * 2**m additions.
+    """
+    half = len(pairs) // 2
+    if not half:
+        yield pairs[0][0]
+        return
+    low, high = pairs[:half], pairs[half:]
+    if half == 1:
+        (a0, b0), (a1, b1) = low[0], high[0]
+        yield _plane_sum(a0, a1)
+        yield _plane_sum(a0, b1)
+        return
+    yield from _butterfly(
+        [(_plane_sum(a0, a1), _plane_sum(b0, b1)) for (a0, b0), (a1, b1) in zip(low, high)]
+    )
+    yield from _butterfly(
+        [(_plane_sum(a0, b1), _plane_sum(b0, a1)) for (a0, b0), (a1, b1) in zip(low, high)]
+    )
+
+
+def _sliced_min_weight(basis: Sequence[int], n: int, lanes: int | None = None) -> int:
     """Minimum nonzero weight by the bit-sliced walk of all 2**r codewords.
 
     Lane x is the combination x of the low L basis rows, and bit x of each
-    vector belongs to it.  The span of the other rows is walked in Gray
-    order, one XOR per codeword h.  A group of s columns on which the low
-    rows put the same pattern, with lane vector V, adds V to each lane
-    s - a times and its complement a times, a being h's weight on the
-    group: that is, min(a, s - a) to every lane and |s - 2a| times V or
-    its complement.  These go into a carry-save counter, each set bit of a
-    multiplicity at its own level, and the least lane is read off the bit
-    planes; lane 0 at h = 0 is the zero codeword and is left out.
+    vector belongs to it; t is the combination of the other m = r - L rows.
+    A column whose low pattern is p and high pattern q has lane vector v,
+    bit x set iff <x, p> is odd, and its bit in codeword (x, t) is that of
+    v, flipped if <t, q> is odd.  So the columns are grouped by q, each
+    group's D0 (sum of v) and D1 (sum of the complements) are counted once,
+    and an add-only butterfly over the high rows (_butterfly) gives every
+    lane's weight at each t.  The least lane is read off the bit planes;
+    lane 0 at t = 0 is the zero codeword and is left out.  lanes sets L
+    (default: the width _sliced_plan picks).
     """
-    lanes = _lane_bits(len(basis), n)
+    r = len(basis)
+    if lanes is None:
+        lanes = _sliced_plan(r, n)[1]
     full = (1 << (1 << lanes)) - 1
-    singles, multiples, flat = [], [], 0
-    # a group's lane vector has bit x set iff the group's pattern has a 1
-    # in the combination x of the low rows
-    tags = _bit_masks(lanes)
-    for vec, cols in _split_columns(basis[:lanes], n, tags):
-        if not vec:
-            flat = cols  # the low rows are 0 here, so every lane has h's bits
-        elif cols & (cols - 1):
-            multiples.append((cols, cols.bit_count(), vec))
-        else:
-            singles.append((cols, vec))
-    high = basis[lanes:]
+    # v is the XOR of the bit masks of p's set bits, so one XOR of an
+    # element of each half's span
+    half = lanes // 2
+    masks = _bit_masks(lanes)
+    low_span, high_span = _span(masks[:half]), _span(masks[half:])
+    low = (1 << half) - 1
+
+    def lane_vector(p: int) -> int:
+        return low_span[p & low] ^ high_span[p >> half]
+
+    # bit pos of a column's index is its entry in basis row pos; the rows'
+    # bit strings, read column by column, cost O(r * n) where the column
+    # split's n-bit ANDs cost O(n) at each of its ~n * (r - log2 n) nodes
+    groups: dict[int, list[tuple[int, int]]] = {}
+    pattern = (1 << lanes) - 1
+    bits = [format(row, f"0{n}b") for row in reversed(basis)]
+    for column, s in Counter(zip(*bits)).items():
+        idx = int("".join(column), 2)
+        groups.setdefault(idx >> lanes, []).append((idx & pattern, s))
+    no_columns = ([], [])
+    pairs = [
+        _group_counts(groups[q], lane_vector, full) if q in groups else no_columns
+        for q in range(1 << (r - lanes))
+    ]
     best = n
-    h = 0
-    for t in range(1 << len(high)):
-        if t:
-            h ^= high[(t & -t).bit_length() - 1]
-        base = (flat & h).bit_count()
-        if base >= best:
-            continue
-        counter: list[list[int]] = []
-        # a group of one column adds its vector or the complement, once
-        for i in range(0, len(singles), _CSA_CHUNK):
-            chunk = singles[i : i + _CSA_CHUNK]
-            _carry_save_add(counter, 0, [v ^ full if c & h else v for c, v in chunk])
-        for cols, s, vec in multiples:
-            a = (cols & h).bit_count()
-            base += min(a, s - a)
-            if 2 * a > s:
-                vec ^= full
-            d = abs(s - 2 * a)
-            for level in range(d.bit_length()):
-                if d >> level & 1:
-                    _carry_save_add(counter, level, [vec])
-        planes = _carry_save_planes(counter)
-        best = min(best, base + _min_lane(planes, full if t else full ^ 1))
+    for t, planes in enumerate(_butterfly(pairs)):
+        lanes_read = full if t else full ^ 1
+        if lanes_read:  # at L = 0, t = 0 holds only the zero codeword
+            best = min(best, _min_lane(planes, lanes_read))
     return best
 
 
 # Cost model of _sliced_min_weight, in the unit of _bz_min_weight: one
 # codeword of the table walk, whose map work on n-bit ints costs
 # 1 + n / _TABLE_COLUMNS times as much as on short ones.  The Python
-# overhead of one vector added to the counter, or of one part of the lane
-# split, is _PART_COST units, and one bit operation on _LANES_PER_UNIT
-# lanes costs as much as a codeword of a short code.
-_PART_COST = 4
+# overhead of one bit-plane addition is _PART_COST units, and that of one
+# vector added to a group's count, with the reading of its column and its
+# lane vector, _VECTOR_PARTS times as much; one bit operation on
+# _LANES_PER_UNIT lanes costs as much as a codeword of a short code.
+_PART_COST = 3
+_VECTOR_PARTS = 4
 _LANES_PER_UNIT = 1700
-_TABLE_COLUMNS = 1330
+_TABLE_COLUMNS = 1100
 
 
-def _sliced_cost(r: int, n: int) -> float:
-    """Estimated cost of _sliced_min_weight; the table walk costs 2**r."""
-    lanes = _lane_bits(r, n)
-    inputs = min(n, 1 << lanes) << (r - lanes)  # one per group and Gray step
-    # at most min(2**pos, n) parts at depth pos = 0 .. lanes of the split
-    doubling = min(lanes + 1, n.bit_length())
-    parts = (1 << doubling) - 1 + (lanes + 1 - doubling) * n
-    lane_work = inputs * (1 << lanes) / (_LANES_PER_UNIT * (1 + n / _TABLE_COLUMNS))
-    return _PART_COST * (inputs + parts) + lane_work
+def _butterfly_planes(r: int, n: int, lanes: int) -> tuple[int, int]:
+    """Estimated bit planes that the bit-sliced walk of a rank-r code of
+    length n with 2**lanes lanes adds up, and the bits it holds at once.
+
+    A pair at depth i of the butterfly counts the columns of 2**i high
+    patterns: n >> (m - i) of them if they are spread evenly, on as many
+    planes as that number has bits.  One array of pairs per depth is held,
+    with the groups' counts at depth 0, the carry-save counter's vectors in
+    flight, the two spans that build the lane vectors, and _PATTERN_BITS
+    of Python objects per high pattern.
+    """
+    m = r - lanes
+    added = held = 0
+    for depth in range(m + 1):
+        pairs = min(1 << (m - depth), n)
+        planes = max(1, (n << depth >> m).bit_length())
+        held += 2 * pairs * planes
+        if depth:
+            added += (1 << depth) * pairs * planes * (2 if depth < m else 1)
+    group = -(-n >> m)  # columns per high pattern, rounded up
+    held += min(group, 3 * _CSA_CHUNK * group.bit_length())
+    held += (1 << (lanes - lanes // 2)) + (1 << (lanes // 2))
+    return added, (held << lanes) + (_PATTERN_BITS << m)
+
+
+@lru_cache(maxsize=1024)
+def _sliced_plan(r: int, n: int) -> tuple[float, int]:
+    """(estimated cost, lane width L) of the cheapest bit-sliced walk of a
+    rank-r code of length n that fits in _LANE_MEMORY_BITS, or (inf, 0) if
+    none does.  The table walk costs 2**r in this unit."""
+    groups = min(n, 1 << r)
+    # each group adds its lane vector once per set bit of its multiplicity
+    vectors = groups * max(1, (n // groups).bit_length())
+    best = (inf, 0)
+    for lanes in range(r + 1):
+        added, held = _butterfly_planes(r, n, lanes)
+        if held > _LANE_MEMORY_BITS:
+            continue
+        parts = added + _VECTOR_PARTS * vectors
+        lane_work = (added + vectors) * (1 << lanes) / _LANES_PER_UNIT
+        best = min(best, ((_PART_COST * parts + lane_work) / (1 + n / _TABLE_COLUMNS), lanes))
+    return best
 
 
 def _subset_xors(rows: Sequence[int], t: int) -> list[int]:

@@ -23,9 +23,10 @@ from soembed.errors import (
 from soembed.gf2 import (
     BinaryMatrix,
     _bz_min_weight,
-    _lane_bits,
     _level_min_weight,
+    _min_lane,
     _sliced_min_weight,
+    _sliced_plan,
     _systematic_form,
     _table_min_weight,
     gram,
@@ -337,30 +338,57 @@ def _lightest_on_flat_columns():
     ids=["12x1100", "14x2100", "13x700x3", "flat-columns"],
 )
 def test_sliced_walk_with_several_lane_blocks(m):
-    # wide enough that the lane vectors are capped below the rank, so the
-    # walk steps through the span of the rows left over
+    # wide enough that the cheapest lane width is below the rank, so the
+    # butterfly runs over the rows left over
     basis = row_basis(m)
-    assert _lane_bits(len(basis), m.n) < len(basis)
+    assert _sliced_plan(len(basis), m.n)[1] < len(basis)
     assert _sliced_min_weight(basis, m.n) == _table_min_weight(basis)
 
 
+CROSSOVER_SHAPES = [(12, 2000), (16, 128), (16, 256), (16, 1000), (20, 64)]
+
+
 @pytest.mark.parametrize(
-    "r, n", [(12, 2000), (16, 128), (16, 256), (16, 1000), (20, 64)]
+    "m",
+    [random_full_rank_matrix(random.Random(1000 * r + n), r, n) for r, n in CROSSOVER_SHAPES]
+    # an [A | A] code, as the benchmark's self-orthogonal 16 x 2000 inputs
+    # are: every column pattern comes twice
+    + [_repeated_columns(random.Random(162000), 16, 1000, 2)],
+    ids=[f"{r}-{n}" for r, n in CROSSOVER_SHAPES] + ["16-2000-AA"],
 )
-def test_min_distance_at_crossover_shapes(r, n):
+def test_min_distance_at_crossover_shapes(m):
     # near the points where the cheapest search changes, every path agrees
-    m = random_full_rank_matrix(random.Random(1000 * r + n), r, n)
     basis = row_basis(m)
     expect = _table_min_weight(basis)
     assert min_distance(m) == expect
-    assert _sliced_min_weight(basis, n) == expect
+    assert _sliced_min_weight(basis, m.n) == expect
+
+
+@SEARCH_SETTINGS
+@given(codes(max_k=10))
+@example(RANK_12)
+def test_sliced_walk_at_every_lane_width(m):
+    # L = r is one count and no butterfly; L = 0 leaves every row to it
+    basis = row_basis(m)
+    expect = _table_min_weight(basis)
+    for lanes in range(len(basis) + 1):
+        assert _sliced_min_weight(basis, m.n, lanes) == expect, lanes
+
+
+def test_sliced_walk_with_no_lanes():
+    # at L = 0 the combination t = 0 holds only the zero codeword, so no
+    # lane is read there; reading none used to give 2**len(planes) - 1
+    m = random_full_rank_matrix(random.Random(1033), 10, 33)
+    assert _sliced_min_weight(row_basis(m), m.n, 0) == naive_min_distance(m)
+    with pytest.raises(ValueError):
+        _min_lane([0, 0], 0)
 
 
 @pytest.mark.parametrize(
     "r, n, seed, dmin", [(20, 256, 20256, 88), (16, 2000, 162000, 894)]
 )
 def test_min_distance_memory(r, n, seed, dmin):
-    # the bit-sliced walk holds at most 1 MiB of lane vectors
+    # the bit-sliced walk's lane width keeps its bit planes within 1.25 MiB
     m = random_full_rank_matrix(random.Random(seed), r, n)
     tracemalloc.start()
     try:
