@@ -111,32 +111,50 @@ def rank(m: BinaryMatrix) -> int:
     return len(row_basis(m))
 
 
-def _split_columns(
-    rows: Sequence[int], n: int, tags: Sequence[int]
-) -> list[tuple[int, int]]:
-    """(tag, columns) for each pattern that rows put on a column of n.
+# _index_counts reads the columns off the rows' bit strings, O(k * n) in C,
+# from this many rows k when n < 2**k, and otherwise splits the columns by
+# each row in turn, an n-bit AND at each of at most sum(min(2**pos, n))
+# nodes.  Timed on random matrices with n < 2**k (k 4..16, n 12..20,000),
+# the split is as fast or faster up to k = 7, and the strings are 1.1 to
+# 3.9 times faster from k = 8.
+_STRING_ROWS = 8
 
-    columns is the n-bit mask of the columns with that pattern, and tag the
-    XOR of tags[pos] over the rows pos with a 1 there.  The column set is
-    split by each row in turn into the columns with a 0 and those with a 1
-    there, depth-first, dropping empty parts: at most len(rows) + 1 parts
-    are alive, and the cost is at most sum(min(2**pos, n)) whole-int ANDs.
+
+def _index_counts(rows: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """(index, count) for each column index that rows put on their n columns.
+
+    Bit k - 1 - pos of an index is the column's entry in rows[pos], k being
+    len(rows).  The split goes depth-first, dropping empty parts, so at
+    most k + 1 column masks are alive at once.
     """
-    depth = len(rows)
-    parts = []
-    stack = [(0, 0, (1 << n) - 1)]  # (rows split so far, tag, columns)
+    k = len(rows)
+    if k >= _STRING_ROWS and 0 < n < 1 << k:  # format(0, "00b") would be a column
+        bits = [format(r, f"0{n}b") for r in rows]
+        return [(int(c, 2), s) for c, s in Counter(map("".join, zip(*bits))).items()]
+    counts = []
+    stack = [(0, 0, (1 << n) - 1)]  # (rows split so far, index so far, columns)
     while stack:
-        pos, tag, cols = stack.pop()
-        if pos == depth:
-            parts.append((tag, cols))
+        pos, idx, cols = stack.pop()
+        if pos == k:
+            counts.append((idx, cols.bit_count()))
             continue
         ones = cols & rows[pos]
         zeros = cols ^ ones
         if zeros:
-            stack.append((pos + 1, tag, zeros))
+            stack.append((pos + 1, idx << 1, zeros))
         if ones:
-            stack.append((pos + 1, tag ^ tags[pos], ones))
-    return parts
+            stack.append((pos + 1, idx << 1 | 1, ones))
+    return counts
+
+
+def _pair_parities(rows: Sequence[int], within: int = -1) -> Iterable[int]:
+    """For each pair of rows i <= j, row-major, the parity of the columns of
+    within on which both have a 1: the Gram matrix's upper triangle, on
+    those columns only."""
+    for i, a in enumerate(rows):
+        a &= within
+        for b in rows[i:]:
+            yield (a & b).bit_count() & 1
 
 
 def _row_ip(a: int, b: int) -> int:
@@ -428,14 +446,10 @@ def _sliced_min_weight(basis: Sequence[int], n: int, lanes: int | None = None) -
     def lane_vector(p: int) -> int:
         return low_span[p & low] ^ high_span[p >> half]
 
-    # bit pos of a column's index is its entry in basis row pos; the rows'
-    # bit strings, read column by column, cost O(r * n) where the column
-    # split's n-bit ANDs cost O(n) at each of its ~n * (r - log2 n) nodes
+    # bit pos of a column's index is its entry in basis row pos
     groups: dict[int, list[tuple[int, int]]] = {}
     pattern = (1 << lanes) - 1
-    bits = [format(row, f"0{n}b") for row in reversed(basis)]
-    for column, s in Counter(zip(*bits)).items():
-        idx = int("".join(column), 2)
+    for idx, s in _index_counts(basis[::-1], n):
         groups.setdefault(idx >> lanes, []).append((idx & pattern, s))
     no_columns = ([], [])
     pairs = [

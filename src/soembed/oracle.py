@@ -61,7 +61,7 @@ def min_embedding_oracle(
 ) -> int | None:
     """Least number of appendable nonzero columns that zero the Gram matrix.
 
-    Appending column c XORs its outer product _sym_mask(c) into the packed
+    Appending column c XORs its outer product _sym_masks(k)[c] into the packed
     Gram syndrome, and appending a column twice changes nothing, so the
     answer is the distance from the syndrome to 0 in the graph whose edges
     are the 2**k - 1 outer products.  Exact-distance layers L0 = {0}, L1, ...
@@ -308,7 +308,7 @@ def verify_claims_prop414() -> Claims414:
 def _coset_leaders(k: int) -> tuple[int, ...]:
     """Per outer-product syndrome, a minimum set of parity flips fixing it.
 
-    leaders[syndrome] is an index bitmask S with XOR of _sym_mask over S
+    leaders[syndrome] is an index bitmask S with XOR of _sym_masks(k) over S
     equal to the syndrome and |S| minimal (breadth-first over flip count).
     Only built for k <= 5, where the syndrome space is small.
     """

@@ -26,9 +26,9 @@ from .gf2 import (
     _bit_masks,
     _bits,
     _hit_masks,
-    _row_ip,
+    _index_counts,
+    _pair_parities,
     _span,
-    _split_columns,
     gram,
     horizontal_join,
 )
@@ -85,16 +85,13 @@ def column_profile(m: BinaryMatrix) -> ColumnProfile:
 def _column_counts(m: BinaryMatrix) -> list[int]:
     """counts[i] = number of columns of m with index i (i = 0: zero columns).
 
-    One depth-first split of the columns by the rows (gf2._split_columns),
-    each row tagged with its bit of the column index.  The 2**k counts are
-    refused above k = PROFILE_K_CAP.
+    The 2**k counts are refused above k = PROFILE_K_CAP.
     """
     if m.k > PROFILE_K_CAP:
         raise CapExceededError(f"column profile supports k <= {PROFILE_K_CAP}")
     counts = [0] * (1 << m.k)
-    tags = [1 << (m.k - 1 - pos) for pos in range(m.k)]
-    for idx, cols in _split_columns(m.rows, m.n, tags):
-        counts[idx] = cols.bit_count()
+    for idx, s in _index_counts(m.rows, m.n):
+        counts[idx] = s
     return counts
 
 
@@ -109,14 +106,9 @@ def is_so_profile(m: BinaryMatrix) -> bool:
 
 
 def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
-    """is_so_profile from the mask of odd multiplicities (bit i for index i)."""
-    masks = _bit_masks(k)
-    for j, mask in enumerate(masks):
-        odd_j = odd_mask & mask
-        for mask2 in masks[j:]:
-            if (odd_j & mask2).bit_count() & 1:
-                return False
-    return True
+    """is_so_profile from the mask of odd multiplicities (bit i for index i):
+    _odd_syndrome(k, odd_mask) == 0, stopping at the first odd pair."""
+    return not any(_pair_parities(_bit_masks(k), odd_mask))
 
 
 def is_so_dim_check(p: ColumnProfile) -> bool:
@@ -278,43 +270,30 @@ def _profile_weights(k: int, counts: Sequence[int]) -> list[int]:
     return t
 
 
-def _sym_mask(col_bits: int, k: int) -> int:
-    """The outer product of column index col_bits with itself, packed like
-    _gram_mask: the Gram matrix of the one-column matrix.  XOR of these
-    masks tracks how appended columns change the Gram matrix."""
-    return _gram_mask(horizontal_join(BinaryMatrix(k, 0, (0,) * k), [col_bits]))
-
-
-@lru_cache(maxsize=None)
-def _sym_masks(k: int) -> tuple[int, ...]:
-    """_sym_mask(i, k) for each column index i = 0 .. 2**k - 1, once per k."""
-    return tuple(_sym_mask(i, k) for i in range(1 << k))
-
-
 def _gram_mask(m: BinaryMatrix) -> int:
     """The Gram matrix of m packed into an int.
 
     Bit positions enumerate the pairs (i, j), i <= j, of the symmetric
-    k x k matrix, row-major.  It is the XOR of _sym_mask over the indices
-    of odd multiplicity: _odd_syndrome of the profile's parity mask.
+    k x k matrix, row-major.  It is the XOR of the columns' outer products
+    (_sym_masks), and so _odd_syndrome of the profile's parity mask.
     """
-    acc = 0
-    pos = 0
-    for i in range(m.k):
-        for j in range(i, m.k):
-            acc |= _row_ip(m.rows[i], m.rows[j]) << pos
-            pos += 1
-    return acc
+    return sum(p << pos for pos, p in enumerate(_pair_parities(m.rows)))
 
 
 def _odd_syndrome(k: int, odd_mask: int) -> int:
     """The packed Gram matrix (_gram_mask) of any k-row code whose indices
-    of odd multiplicity are the bits of odd_mask."""
-    sym = _sym_masks(k)
-    syn = 0
-    for i in _bits(odd_mask):
-        syn ^= sym[i]
-    return syn
+    of odd multiplicity are the bits of odd_mask: that of the matrix of all
+    2**k columns, whose column i is index i, on the columns of odd_mask."""
+    rows = _bit_masks(k)[::-1]
+    return sum(p << pos for pos, p in enumerate(_pair_parities(rows, odd_mask)))
+
+
+@lru_cache(maxsize=None)
+def _sym_masks(k: int) -> tuple[int, ...]:
+    """The outer product of each column index i = 0 .. 2**k - 1 with
+    itself, packed like _gram_mask, once per k.  XOR of these masks tracks
+    how appended columns change the Gram matrix."""
+    return tuple(_odd_syndrome(k, 1 << i) for i in range(1 << k))
 
 
 @lru_cache(maxsize=None)

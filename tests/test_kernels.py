@@ -5,6 +5,8 @@ kernel: one shift per bit or per index.  The kernels must agree with them
 exactly, including the error type and message on bad input.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,10 @@ from soembed.constructions import juxtapose_simplex
 from soembed.errors import BadCharacterError, MatrixParseError, RaggedRowsError
 from soembed.gf2 import (
     BinaryMatrix,
-    _split_columns,
+    _index_counts,
     horizontal_join,
     parse_matrix,
+    random_matrix,
     simplex_matrix,
 )
 from soembed.profiles import ColumnProfile, column_profile
@@ -67,20 +70,6 @@ def ref_column_profile(m):
             idx |= ((m.rows[pos] >> j) & 1) << (m.k - 1 - pos)
         counts[idx] += 1
     return tuple(counts[1:]), counts[0]
-
-
-def ref_split_columns(rows, n, tags):
-    """(tag, columns) per column pattern, one column at a time."""
-    parts = {}
-    for j in range(n):
-        pattern = tag = 0
-        for pos, r in enumerate(rows):
-            if r >> j & 1:
-                pattern |= 1 << pos
-                tag ^= tags[pos]
-        _, cols = parts.get(pattern, (tag, 0))
-        parts[pattern] = (tag, cols | 1 << j)
-    return list(parts.values())
 
 
 def ref_horizontal_join(m, cols):
@@ -223,13 +212,29 @@ def test_column_profile_matches_reference(m):
     assert prof.parity_mask() == ref_parity_mask(prof.ell)
 
 
+def index_count_profile(m):
+    """The (ell, zero_count) that _index_counts gives, each index once."""
+    counts = [0] * (1 << m.k)
+    for idx, s in _index_counts(m.rows, m.n):
+        assert counts[idx] == 0 < s
+        counts[idx] = s
+    return tuple(counts[1:]), counts[0]
+
+
 @KERNEL_SETTINGS
-@given(matrices(max_k=10), st.data())
-def test_split_columns_matches_reference(m, data):
-    tag = st.integers(0, (1 << 12) - 1)
-    tags = data.draw(st.lists(tag, min_size=m.k, max_size=m.k))
-    parts = _split_columns(m.rows, m.n, tags)
-    assert sorted(parts) == sorted(ref_split_columns(m.rows, m.n, tags))
+@given(matrices())
+def test_index_counts_matches_reference(m):
+    assert index_count_profile(m) == ref_column_profile(m)
+
+
+# the bit strings are read from k = 8 rows where n < 2**k, and the columns
+# split otherwise; n = 0 must not read format(0, "00b") as one column
+@pytest.mark.parametrize("k, n", [(7, 100), (8, 100), (8, 256), (12, 4096), (12, 0)])
+def test_index_counts_on_each_side_of_the_choice(k, n):
+    m = random_matrix(random.Random(1000 * k + n), k, n)
+    assert index_count_profile(m) == ref_column_profile(m)
+    if not n:
+        assert _index_counts(m.rows, n) == []
 
 
 @KERNEL_SETTINGS

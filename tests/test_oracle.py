@@ -43,7 +43,7 @@ from soembed.profiles import (
     _is_so_odd_mask,
     _profile_weights,
     _so_parity_masks,
-    _sym_mask,
+    _sym_masks,
     matrix_from_profile,
 )
 
@@ -99,7 +99,7 @@ def ref_min_embedding(m, max_add):
     if target == 0:
         return 0
     ncols = (1 << m.k) - 1
-    masks = [0] + [_sym_mask(i, m.k) for i in range(1, ncols + 1)]
+    masks = _sym_masks(m.k)
     for size in range(1, max_add + 1):
         for combo in itertools.combinations_with_replacement(
             range(1, ncols + 1), size

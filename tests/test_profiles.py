@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,6 @@ from soembed.profiles import (
     _profile_weights,
     _parity_kernel_basis,
     _so_parity_masks,
-    _sym_mask,
     _sym_masks,
     column_profile,
     is_so_dim_check,
@@ -56,6 +56,24 @@ def test_column_profile_examples():
 
     prof54 = column_profile(G_5_4)
     assert {i for i in range(1, 16) if prof54.count(i)} == {1, 2, 4, 8, 15}
+
+
+# Peak traced memory of column_profile.  At 11 x 40,000 the columns are
+# split with at most k + 1 masks alive; at 20 x 40,000 they are read off the
+# rows' bit strings, and the two 2**20 count tables take 16 MiB of the cap.
+# A counter holding every column pattern's n-bit mask at once peaks at
+# 10.3 and 114 MiB on these matrices.
+@pytest.mark.parametrize("k, n, cap_mib", [(11, 40_000, 1), (20, 40_000, 32)])
+def test_column_profile_peak_memory(k, n, cap_mib):
+    m = random_matrix(random.Random(k), k, n)
+    tracemalloc.start()
+    try:
+        prof = column_profile(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.n == n
+    assert peak <= cap_mib << 20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_is_so_profile_examples():
@@ -328,7 +346,7 @@ def test_hit_masks_match_popcount_definition():
 def test_sym_mask_matches_double_loop():
     for k in range(1, 9):
         for c in range(1 << k):
-            assert _sym_mask(c, k) == ref_sym_mask(c, k)
+            assert _sym_masks(k)[c] == ref_sym_mask(c, k)
 
 
 PARITY_KERNEL_SHA256 = {
