@@ -106,8 +106,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_build(args) -> int:
-    reg = constructions.registry()
-    matrix, value = constructions.build_optimal(args.n, args.k, args.so, reg)
+    matrix, value = constructions.build_optimal(args.n, args.k, args.so)
     kind = "self-orthogonal " if args.so else ""
     print(
         f"[{args.n},{args.k},{value.value}] {kind}code"

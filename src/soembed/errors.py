@@ -7,8 +7,7 @@ class SoEmbedError(Exception):
 
 class MatrixParseError(SoEmbedError):
     """Base class for matrix text parsing failures; also raised when a
-    matrix file or a seed file cannot be read or parsed, or the seed
-    directory is missing."""
+    matrix file cannot be read or parsed."""
 
 
 class EmptyInputError(MatrixParseError):

@@ -250,17 +250,6 @@ def _search_profile(
     return ColumnProfile(k, tuple(ell), n - sum(ell))
 
 
-def targeted_profile(n: int, k: int, d: int, so_only: bool) -> ColumnProfile | None:
-    """One feasibility query without the enumeration-space cap.
-
-    Used for seed generation at lengths where the full enumeration would
-    be refused; the result is still verified independently when loaded.
-    """
-    if not 1 <= k <= 4:
-        raise DomainError("profile search supports k <= 4")
-    return _search_profile(n, k, d, _so_parity_masks(k) if so_only else None)
-
-
 # ---------------------------------------------------------------------------
 # the dimension-4 worst-case pattern sweep
 

@@ -266,12 +266,12 @@ def test_criterion_9_construction_witnesses():
         assert set(reg.lengths(3, False)) >= set(range(3, 10))
         assert set(reg.lengths(4, True)) >= set(range(8, 19))
         for n in range(10, 61):
-            built, value = build_optimal(n, 3, False, reg)
+            built, value = build_optimal(n, 3, False)
             assert value.status == STATUS_EXACT
             assert min_distance(built) == d_opt(n, 3).value == value.value
             assert rank(built) == 3 and built.n == n
         for n in range(23, 61):
-            built, value = build_optimal(n, 4, True, reg)
+            built, value = build_optimal(n, 4, True)
             assert value.status == STATUS_EXACT
             assert min_distance(built) == dso_opt(n, 4).value == value.value
             assert gram(built).is_zero() and built.n == n

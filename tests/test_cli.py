@@ -12,7 +12,7 @@ import pytest
 
 from soembed import constructions, golden
 from soembed.cli import build_parser, main
-from soembed.gf2 import parse_matrix, random_full_rank_matrix, simplex_matrix
+from soembed.gf2 import parse_matrix, random_full_rank_matrix
 
 HAMMING = "0000111\n0011001\n0101010\n1001011\n"
 SO_DEMO = "00001111110\n01110011111\n10110100011\n"
@@ -186,47 +186,50 @@ def test_build(capsys):
     assert (built.k, built.n) == (4, 23)
 
 
-def test_build_missing_seed(capsys):
-    assert main(["build", "--n", "34", "--k", "5", "--so"]) == 1
-
-
-def test_build_missing_seed_dir(tmp_path, monkeypatch, capsys):
-    # a mistyped seed directory is an I/O error, not a missing seed
-    nowhere = tmp_path / "nowhere"
-    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(nowhere))
-    monkeypatch.setattr(constructions, "_REGISTRY", None)
-    assert main(["build", "--n", "23", "--k", "4", "--so"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(nowhere) in captured.err
-
-
-SEED_META = {"t": 7, "k": 3, "so": True, "declared_d": 4}
-SEED_FAULTS = {
-    "no_txt": (json.dumps(SEED_META), None),
-    "bad_json": ("{not json", simplex_matrix(3).to_text()),
-    "no_declared_d": (
-        json.dumps({"t": 7, "k": 3, "so": True}),
-        simplex_matrix(3).to_text(),
-    ),
-    "bad_matrix": (json.dumps(SEED_META), "0001111\n0110x11\n1010101\n"),
+BUILD_SHA256 = {
+    "--n 29 --k 4": "90309b1664dcc3a01343c4ccd98c331d9b5c8d623a898b6033513a77cf0d8182",
+    "--n 36 --k 4 --so": "72c111eeb1c44995f84932972c4edf52f830bc68c7b8b5f16e950f23a2a9e25c",
+    "--n 46 --k 5 --so": "1f530657b4f4ba99ac59cef37da144fb8f00d3f6918c80bd62d4aa3a10f9547d",
+    "--n 23 --k 4 --so": "c0f55de10746051b0a40f9f95b5f83c6da79b3c5d4c0f24665e164fbcb6be0ef",
 }
 
 
-@pytest.mark.parametrize("fault", sorted(SEED_FAULTS))
-def test_build_bad_seed_file(fault, tmp_path, monkeypatch, capsys):
-    meta, text = SEED_FAULTS[fault]
-    sub = tmp_path / "k3" / "so"
-    sub.mkdir(parents=True)
-    (sub / "t7.json").write_text(meta)
-    if text is not None:
-        (sub / "t7.txt").write_text(text)
-    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(tmp_path))
-    monkeypatch.setattr(constructions, "_REGISTRY", None)
-    assert main(["build", "--n", "14", "--k", "3", "--so"]) == 2
+@pytest.mark.parametrize("args", sorted(BUILD_SHA256))
+def test_build_output_pinned(args, capsys):
+    # the digests of the output built from the seed files the recipes replaced
+    assert main(["build", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_SHA256[args]
+
+
+def test_build_missing_seed(capsys):
+    assert main(["build", "--n", "34", "--k", "5", "--so"]) == 1
+    assert "no self-orthogonal seed of length 34" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        ("--n 100 --k 30", 3, "formulas cover 1 <= k <= 5 only"),
+        ("--n 7 --k 4 --so", 1, "no [7,4] self-orthogonal code exists"),
+    ],
+)
+def test_build_checks_formula_before_seed(args, code, message, capsys):
+    assert main(["build", *args.split()]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert str(sub / "t7.json") in captured.err
+    assert message in captured.err
+
+
+def test_build_failing_recipe(monkeypatch, capsys):
+    # a recipe whose matrix misses the declared distance is refused
+    recipes = constructions._recipes()
+    recipes[7, 3, True] = ("tampered", lambda: constructions._columns(3, [1, 1, 2, 2, 4, 4, 0]))
+    monkeypatch.setattr(constructions, "_REGISTRY", constructions.SeedRegistry(recipes))
+    assert main(["build", "--n", "14", "--k", "3", "--so"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed distance differs from declared" in captured.err
 
 
 def test_oracle_min_embed(hamming_file, capsys):
@@ -328,13 +331,6 @@ def test_verify_examples(capsys):
     assert main(["verify-examples"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 9 and "FAIL" not in out
-
-
-def test_verify_examples_without_seeds(tmp_path, monkeypatch, capsys):
-    # the worked examples never touch the seed registry
-    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(tmp_path / "nowhere"))
-    assert main(["verify-examples"]) == 0
-    assert capsys.readouterr().out.count("PASS") == 9
 
 
 def test_tables_dump(capsys):

@@ -1,9 +1,10 @@
 """Seed registry and simplex-juxtaposition construction checks."""
 
-import json
+import hashlib
 
 import pytest
 
+from soembed import constructions
 from soembed.constructions import (
     SeedRegistry,
     build_optimal,
@@ -13,38 +14,53 @@ from soembed.constructions import (
 from soembed.distances import d_opt, dso_opt
 from soembed.errors import MissingSeedError, SoEmbedError
 from soembed.gf2 import gram, min_distance, parse_matrix, rank, simplex_matrix
+from soembed.oracle import _search_profile, random_so_profile_search
+from soembed.profiles import _so_parity_masks, matrix_from_profile
+
+# sha256 over "t k so\nmatrix\n" for every seed, keys in sorted order: the
+# digest of the seed files the recipes replaced
+SEEDS_SHA256 = "8d6ec894fe9cd17b3fab364b8dd64a2b0add5d9bf52d29b16288a3799505280a"
 
 
 def test_registry_loads_and_validates():
     reg = registry()
+    assert len(reg.entries) == 53
     assert reg.lengths(3, False) == list(range(3, 10))
     assert reg.lengths(4, True) == list(range(8, 23)) + [28]
-    for entry in reg.entries.values():
+    assert reg.lengths(5, True) == [11, 12, *range(15, 21)]
+    h = hashlib.sha256()
+    for t, k, so in sorted(reg.entries):
+        entry = reg.get(t, k, so)
         assert rank(entry.matrix) == entry.k
         assert min_distance(entry.matrix) == entry.declared_d
+        assert entry.declared_d == (dso_opt if so else d_opt)(t, k).value
+        h.update(f"{t} {k} {int(so)}\n{entry.matrix.to_text()}\n".encode())
+    assert h.hexdigest() == SEEDS_SHA256
 
 
-def test_registry_rejects_tampered_seed(tmp_path):
-    sub = tmp_path / "k3" / "lin"
-    sub.mkdir(parents=True)
-    (sub / "t7.txt").write_text(simplex_matrix(3).to_text() + "\n")
-    (sub / "t7.json").write_text(
-        json.dumps({"t": 7, "k": 3, "so": False, "declared_d": 5})
-    )
-    with pytest.raises(SoEmbedError):
-        SeedRegistry.load(tmp_path)
+@pytest.mark.parametrize(
+    "t, k, so", [(11, 4, False), (12, 4, False), (13, 4, False), (14, 4, False), (21, 4, True)]
+)
+def test_rule_recipes_match_the_search(t, k, so):
+    # the profile search each rule or listed witness stands in for still
+    # finds its matrix
+    d = (dso_opt if so else d_opt)(t, k).value
+    profile = _search_profile(t, k, d, _so_parity_masks(k) if so else None)
+    assert registry().get(t, k, so).matrix == matrix_from_profile(profile)
 
 
-def test_registry_env_override(tmp_path, monkeypatch):
-    sub = tmp_path / "k3" / "so"
-    sub.mkdir(parents=True)
-    (sub / "t7.txt").write_text(simplex_matrix(3).to_text() + "\n")
-    (sub / "t7.json").write_text(
-        json.dumps({"t": 7, "k": 3, "so": True, "declared_d": 4})
-    )
-    monkeypatch.setenv("SO_EMBED_SEED_DIR", str(tmp_path))
-    reg = SeedRegistry.load()
-    assert reg.lengths(3, True) == [7]
+def test_listed_k5_seed_matches_the_search():
+    found, profile = random_so_profile_search(15, 5, 4000, target_d=6, rng_seed=7)
+    assert found == 6
+    assert registry().get(15, 5, True).matrix == matrix_from_profile(profile)
+
+
+def test_registry_rejects_tampered_seed():
+    # a recipe whose matrix misses the declared distance d_opt(7, 3) = 4
+    recipes = constructions._recipes()
+    recipes[7, 3, False] = ("tampered", lambda: constructions._columns(3, [1, 1, 2, 2, 4, 4, 0]))
+    with pytest.raises(SoEmbedError, match="distance differs"):
+        SeedRegistry(recipes).get(7, 3, False)
 
 
 def test_juxtapose_examples():
@@ -83,6 +99,8 @@ def test_build_missing_seed():
     with pytest.raises(MissingSeedError) as err:
         build_optimal(34, 5, True)
     assert (err.value.t, err.value.k, err.value.so) == (34, 5, True)
+    with pytest.raises(MissingSeedError):
+        build_optimal(10, 2, False)  # a formula but no seeds at k = 2
 
 
 def test_so_flag_propagates():
