@@ -39,8 +39,7 @@ def cmd_check(args) -> int:
     prof = profiles.column_profile(m)
     verdicts = profiles.so_verdicts(m, prof)
     print(f"n={m.n} k={m.k} rank={rank(m)}")
-    nonzero = {i: c for i, c in enumerate(prof.ell, start=1) if c}
-    print(f"profile: zero_count={prof.zero_count} ell={nonzero}")
+    print(f"profile: zero_count={prof.zero_count} ell={prof.counts}")
     for name, value in verdicts.items():
         print(f"{name}: {'yes' if value else 'no'}")
     so = verdicts["gram_zero"]
@@ -129,9 +128,8 @@ def cmd_oracle_min_embed(args) -> int:
 def cmd_oracle_enumerate(args) -> int:
     result = oracle.enumerate_codes_by_profile(args.n, args.k, args.so)
     wit = result.witness
-    nonzero = {i: wit.count(i) for i in range(1, 1 << wit.k) if wit.count(i)}
     print(f"best distance: {result.distance}")
-    print(f"witness profile: zero_count={wit.zero_count} ell={nonzero}")
+    print(f"witness profile: zero_count={wit.zero_count} ell={wit.counts}")
     return EXIT_OK
 
 

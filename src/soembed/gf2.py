@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, inf
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Sequence
@@ -703,12 +704,19 @@ def horizontal_join(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
             raise IndexOutOfRangeError(f"column index {i} outside 0..{top}")
     if not cols:
         return m
-    # Row pos's appended bits, last column first, as one binary string.
-    rows = tuple(
-        r | int("".join("01"[c >> shift & 1] for c in reversed(cols)), 2) << m.n
-        for shift, r in zip(range(m.k - 1, -1, -1), m.rows)
-    )
+    rows = tuple(r | a << m.n for r, a in zip(m.rows, _column_rows(m.k, cols)))
     return BinaryMatrix(m.k, m.n + len(cols), rows)
+
+
+def _column_rows(k: int, cols: Sequence[int]) -> list[int]:
+    """The k rows of the matrix whose column j has index cols[j], for
+    indices below 2**k and at least one column.
+
+    The columns' k-bit strings, last column first, are joined into one
+    string, so row pos is every k-th character from pos: O(k * n) in C.
+    """
+    text = "".join(map(format, reversed(cols), repeat(f"0{k}b")))
+    return [int(text[pos::k], 2) for pos in range(k)]
 
 
 def random_matrix(rng, k: int, n: int) -> BinaryMatrix:

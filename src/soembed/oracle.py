@@ -25,21 +25,28 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .embedding import embed
 from .errors import CapExceededError, DomainError, NoSOCodeError
-from .gf2 import BinaryMatrix, _bits, _hit_masks, gram, rank, random_matrix
+from .gf2 import (
+    BinaryMatrix,
+    _bits,
+    _hit_masks,
+    _index_counts,
+    gram,
+    rank,
+    random_matrix,
+)
 from .profiles import (
     CLASS7_MASKS,
     CLASS8_MASKS,
     ColumnProfile,
     _add_column,
-    _column_counts,
     _dim4_projected_counts,
     _gram_mask,
     _hit_vectors,
     _is_so_odd_mask,
-    _odd_mask,
     _odd_syndrome,
     _parity_kernel_basis,
     _profile_weights,
@@ -247,7 +254,26 @@ def _search_profile(
                 break
     if ell is None:
         return None
-    return ColumnProfile(k, tuple(ell), n - sum(ell))
+    return _profile_of(k, [n - sum(ell), *ell])
+
+
+def _profile_of(k: int, counts: Sequence[int]) -> ColumnProfile:
+    """The profile with counts[i] columns of index i (i = 0: zero columns)."""
+    return ColumnProfile(k, {i: c for i, c in enumerate(counts) if i and c}, counts[0])
+
+
+def _dense_odd_mask(counts: Sequence[int]) -> int:
+    """Bit i set iff counts[i] is odd, for i >= 1 (counts[0]: zero columns)."""
+    return sum(1 << i for i, c in enumerate(counts) if i and c & 1)
+
+
+def _dense_counts(m: BinaryMatrix) -> list[int]:
+    """counts[i] = number of columns of m with index i, i = 0 .. 2**k - 1:
+    the form the random search moves columns in, at k <= 8."""
+    counts = [0] * (1 << m.k)
+    for idx, s in _index_counts(m.rows, m.n):
+        counts[idx] = s
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +442,7 @@ def random_so_profile_search(
             )
             ell[pick] += 1
             t = _add_column(t, vecs[pick], 1)
-        for i in _bits(leaders[_odd_syndrome(k, _odd_mask(ell[1:]))]):
+        for i in _bits(leaders[_odd_syndrome(k, _dense_odd_mask(ell))]):
             if sum(ell[1:]) < n:
                 ell[i] += 1
             elif ell[i] >= 1:
@@ -483,7 +509,7 @@ def random_so_profile_search(
         if mode < 0.1:
             cand = random_matrix(rng, k, n)
             if gram(cand).is_zero() and rank(cand) == k:
-                ell = _column_counts(cand)
+                ell = _dense_counts(cand)
         elif mode < 0.3 and n >= ncols and k >= 3:
             # simplex juxtaposition start, remainder as random pairs
             ell = [0] + [1] * ncols
@@ -500,15 +526,14 @@ def random_so_profile_search(
             rep = embed(base, allow_rank_deficient=True)
             fill = n - rep.output.n
             if fill >= 0 and fill % 2 == 0 and rank(rep.output) == k:
-                ell = _column_counts(rep.output)
+                ell = _dense_counts(rep.output)
                 for _ in range(fill // 2):
                     ell[rng.randrange(1, ncols + 1)] += 2
         if ell is None:
             continue
         found = climb(ell)
-        if found > best and _is_so_odd_mask(k, _odd_mask(ell[1:])):
-            best = found
-            best_profile = ColumnProfile(k, tuple(ell[1:]), ell[0])
+        if found > best and _is_so_odd_mask(k, _dense_odd_mask(ell)):
+            best, best_profile = found, _profile_of(k, ell)
             if target_d is not None and best >= target_d:
                 break
     return best, best_profile

@@ -1,11 +1,11 @@
 """Column-multiplicity characterizations of self-orthogonality.
 
-A matrix's column profile counts how many of its columns equal each of the
-2**k - 1 nonzero binary columns.  Self-orthogonality is decidable from the
-profile alone: in general as evenness of all pairwise column-intersection
-counts, and in dimensions 2..4 as parity constancy of the multiplicities
-on every index class, the parity rule (:func:`_parity_flips`) that the
-shortest embedding also reads.
+A matrix's column profile counts how many of its columns equal each
+nonzero binary column that occurs in it.  Self-orthogonality is decidable
+from the profile alone: in general as evenness of all pairwise
+column-intersection counts, and in dimensions 2..4 as parity constancy of
+the multiplicities on every index class, the parity rule
+(:func:`_parity_flips`) that the shortest embedding also reads.
 
 This module is also the one home of the column-multiset algebra that the
 oracles, the embeddings and the seed generator share: the codeword weights
@@ -25,6 +25,7 @@ from .gf2 import (
     BinaryMatrix,
     _bit_masks,
     _bits,
+    _column_rows,
     _hit_masks,
     _index_counts,
     _pair_parities,
@@ -33,7 +34,10 @@ from .gf2 import (
     horizontal_join,
 )
 
-# 2**24 counts take ~0.3 GiB and seconds to fill; each further row doubles both.
+# A profile holds only the columns that occur, O(k * n) at any k.  What
+# still costs 2**k is its dense view: parity_mask() is a 2**k-bit int and
+# ell a tuple of 2**k - 1 counts, ~0.1 GiB at k = 24; each further row
+# doubles both.
 PROFILE_K_CAP = 24
 
 
@@ -41,58 +45,56 @@ PROFILE_K_CAP = 24
 class ColumnProfile:
     """Multiplicities of the nonzero columns, plus the zero-column count.
 
-    ell[i - 1] is the multiplicity of column index i; zero columns are
+    counts maps each column index i that occurs to its multiplicity, by
+    ascending i; an index that does not occur is left out, so an [n, k]
+    code's profile has at most n entries at any k.  Zero columns are
     tracked separately and never enter any parity condition.
     """
 
     k: int
-    ell: tuple[int, ...]
+    counts: dict[int, int]
     zero_count: int
 
     def __post_init__(self):
-        if len(self.ell) != (1 << self.k) - 1:
-            raise ValueError("profile length must be 2**k - 1")
-        if self.zero_count < 0 or min(self.ell, default=0) < 0:
-            raise ValueError("multiplicities must be nonnegative")
+        items = sorted(self.counts.items())
+        if items and not 0 < items[0][0] <= items[-1][0] < 1 << self.k:
+            raise ValueError("column indices must lie in 1..2**k - 1")
+        if self.zero_count < 0 or min(self.counts.values(), default=1) < 1:
+            raise ValueError("zero_count must be >= 0 and multiplicities > 0")
+        object.__setattr__(self, "counts", dict(items))
+
+    @property
+    def ell(self) -> tuple[int, ...]:
+        """The dense view: ell[i - 1] is the multiplicity of index i."""
+        return tuple(self.counts.get(i, 0) for i in range(1, 1 << self.k))
 
     @property
     def n(self) -> int:
-        return self.zero_count + sum(self.ell)
+        return self.zero_count + sum(self.counts.values())
 
     def count(self, i: int) -> int:
         """Multiplicity of column index i (0 gives the zero-column count)."""
-        if i == 0:
-            return self.zero_count
-        return self.ell[i - 1]
+        return self.counts.get(i, 0) if i else self.zero_count
+
+    def odd_indices(self) -> list[int]:
+        """The column indices of odd multiplicity, ascending."""
+        return [i for i, c in self.counts.items() if c & 1]
 
     def parity_mask(self) -> int:
-        """Bit i set iff ell_i is odd."""
-        return _odd_mask(self.ell)
-
-
-def _odd_mask(ell: Sequence[int]) -> int:
-    """Bit i set iff ell[i - 1], the multiplicity of column index i, is odd."""
-    return int("".join("01"[c & 1] for c in reversed(ell)) + "0", 2)
+        """Bit i set iff index i has odd multiplicity."""
+        bitmap = bytearray((1 << self.k >> 3) + 1)
+        for i in self.odd_indices():
+            bitmap[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bitmap, "little")
 
 
 def column_profile(m: BinaryMatrix) -> ColumnProfile:
     """Count each nonzero column pattern of m; zero columns counted apart."""
-    counts = _column_counts(m)
-    zero_count = counts.pop(0)  # in place: a slice would be a third 2**k list
-    return ColumnProfile(m.k, tuple(counts), zero_count)
-
-
-def _column_counts(m: BinaryMatrix) -> list[int]:
-    """counts[i] = number of columns of m with index i (i = 0: zero columns).
-
-    The 2**k counts are refused above k = PROFILE_K_CAP.
-    """
     if m.k > PROFILE_K_CAP:
         raise CapExceededError(f"column profile supports k <= {PROFILE_K_CAP}")
-    counts = [0] * (1 << m.k)
-    for idx, s in _index_counts(m.rows, m.n):
-        counts[idx] = s
-    return counts
+    counts = dict(_index_counts(m.rows, m.n))
+    zero_count = counts.pop(0, 0)
+    return ColumnProfile(m.k, counts, zero_count)
 
 
 def is_so_profile(m: BinaryMatrix) -> bool:
@@ -102,7 +104,14 @@ def is_so_profile(m: BinaryMatrix) -> bool:
     every pair of bit positions (including a position with itself) must be
     jointly set in an even number of columns.
     """
-    return _is_so_odd_mask(m.k, column_profile(m).parity_mask())
+    return _is_so_columns(column_profile(m))
+
+
+def _is_so_columns(p: ColumnProfile) -> bool:
+    """is_so_profile from p: the Gram matrix of p's odd-multiplicity
+    columns, one copy of each, is zero (an even multiplicity cancels)."""
+    odd = p.odd_indices()
+    return not odd or not any(_pair_parities(_column_rows(p.k, odd)))
 
 
 def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
@@ -123,7 +132,7 @@ def so_verdicts(m: BinaryMatrix, p: ColumnProfile) -> dict[str, bool]:
     profile p the caller has built."""
     out = {
         "gram_zero": gram(m).is_zero(),
-        "column_test": _is_so_odd_mask(p.k, p.parity_mask()),
+        "column_test": _is_so_columns(p),
     }
     if 2 <= m.k <= 4:
         out[f"dim{m.k}_test"] = is_so_dim_check(p)
@@ -244,7 +253,7 @@ def dim4_tables_json() -> dict:
 
 def matrix_from_profile(p: ColumnProfile) -> BinaryMatrix:
     """A matrix realizing a profile: columns ascending by index, zeros last."""
-    cols = [i for i, c in enumerate(p.ell, start=1) for _ in range(c)]
+    cols = [i for i, c in p.counts.items() for _ in range(c)]
     base = BinaryMatrix(p.k, 0, (0,) * p.k)
     return horizontal_join(base, cols + [0] * p.zero_count)
 

@@ -118,7 +118,8 @@ def test_criterion_3_shortest_embedding_matches_oracle():
         checked = 0
         for k, n_max in ((2, 10), (3, 9)):
             for _n, ell, zeros in _all_profiles(k, n_max):
-                prof = ColumnProfile(k, ell, zeros)
+                counts = {i: c for i, c in enumerate(ell, start=1) if c}
+                prof = ColumnProfile(k, counts, zeros)
                 m = matrix_from_profile(prof)
                 rep = embed(m, allow_rank_deficient=True)
                 assert rep.added_count == min_embedding_oracle(m), prof

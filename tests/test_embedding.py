@@ -277,7 +277,8 @@ def low_dim_profiles(draw):
     k = draw(st.integers(2, 4))
     ncols = (1 << k) - 1
     ell = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
-    return ColumnProfile(k, tuple(ell), draw(st.integers(0, 2)))
+    counts = {i: c for i, c in enumerate(ell, start=1) if c}
+    return ColumnProfile(k, counts, draw(st.integers(0, 2)))
 
 
 @settings(max_examples=300, deadline=None)

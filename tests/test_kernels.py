@@ -126,6 +126,16 @@ def matrices(draw, max_k=16, max_n=300):
 
 
 @st.composite
+def repetitive_matrices(draw, max_k=12, max_n=200):
+    """Columns drawn from a few indices, the zero column among them, so
+    that most repeat; n = 0 included."""
+    k = draw(st.integers(1, max_k))
+    pool = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=6))
+    cols = draw(st.lists(st.sampled_from(pool), max_size=max_n))
+    return horizontal_join(BinaryMatrix(k, 0, (0,) * k), cols)
+
+
+@st.composite
 def matrix_texts(draw):
     """Matrix text with comments, blank lines, CRLF and blanks between bits."""
     m = draw(matrices(max_n=60).filter(lambda m: m.n > 0))
@@ -212,6 +222,29 @@ def test_column_profile_matches_reference(m):
     assert prof.parity_mask() == ref_parity_mask(prof.ell)
 
 
+@KERNEL_SETTINGS
+@given(st.one_of(matrices(max_k=12), repetitive_matrices()))
+def test_sparse_profile_matches_dense_reference(m):
+    prof = column_profile(m)
+    ell, zeros = ref_column_profile(m)
+    assert prof.ell == ell
+    assert [prof.count(i) for i in range(1 << m.k)] == [zeros, *ell]
+    assert prof.n == m.n
+    assert prof.parity_mask() == ref_parity_mask(ell)
+    # ascending, zeros left out, whatever order the constructor is given
+    assert list(prof.counts.items()) == [(i, c) for i, c in enumerate(ell, 1) if c]
+    assert ColumnProfile(m.k, dict(reversed(prof.counts.items())), zeros) == prof
+    for counts, zero_count in [
+        ({}, -1),
+        ({0: 1}, zeros),
+        ({1 << m.k: 1}, zeros),
+        ({**prof.counts, 1: 0}, zeros),
+        ({**prof.counts, 1: -1}, zeros),
+    ]:
+        with pytest.raises(ValueError):
+            ColumnProfile(m.k, counts, zero_count)
+
+
 def index_count_profile(m):
     """The (ell, zero_count) that _index_counts gives, each index once."""
     counts = [0] * (1 << m.k)
@@ -243,7 +276,8 @@ def test_index_counts_on_each_side_of_the_choice(k, n):
 ))
 def test_parity_mask_matches_reference(ell):
     k = (len(ell) + 1).bit_length() - 1
-    assert ColumnProfile(k, tuple(ell), 0).parity_mask() == ref_parity_mask(ell)
+    counts = {i: c for i, c in enumerate(ell, start=1) if c}
+    assert ColumnProfile(k, counts, 0).parity_mask() == ref_parity_mask(ell)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from soembed.profiles import (
     _class_flips,
     _dim4_projected_counts,
     _gram_mask,
+    _is_so_columns,
     _is_so_odd_mask,
-    _odd_mask,
     _odd_syndrome,
     _pair_families,
     _parity_flips,
@@ -47,6 +47,7 @@ G_5_4 = parse_matrix("00011\n00101\n01001\n10001")
 
 def test_column_profile_examples():
     prof = column_profile(G_10_3)
+    assert prof.counts == {1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 3, 7: 1}
     assert prof.ell == (1, 1, 2, 1, 1, 3, 1)
     assert prof.zero_count == 0
     assert prof.n == 10
@@ -59,11 +60,14 @@ def test_column_profile_examples():
 
 
 # Peak traced memory of column_profile.  At 11 x 40,000 the columns are
-# split with at most k + 1 masks alive; at 20 x 40,000 they are read off the
-# rows' bit strings, and the two 2**20 count tables take 16 MiB of the cap.
-# A counter holding every column pattern's n-bit mask at once peaks at
-# 10.3 and 114 MiB on these matrices.
-@pytest.mark.parametrize("k, n, cap_mib", [(11, 40_000, 1), (20, 40_000, 32)])
+# split with at most k + 1 masks alive; at 20 x 256 and 20 x 40,000 they
+# are read off the rows' bit strings, and the profile keeps one entry per
+# column that occurs: 0.04 and 7.6 MiB at peak.  A dense table of 2**20
+# counts alone takes 8 MiB, and a counter holding every column pattern's
+# n-bit mask at once peaks at 10.3 and 114 MiB at 11 and 20 x 40,000.
+@pytest.mark.parametrize(
+    "k, n, cap_mib", [(11, 40_000, 1), (20, 256, 1), (20, 40_000, 16)]
+)
 def test_column_profile_peak_memory(k, n, cap_mib):
     m = random_matrix(random.Random(k), k, n)
     tracemalloc.start()
@@ -85,28 +89,29 @@ def test_is_so_profile_examples():
 
 
 def test_is_so_dim_check_k2():
-    assert not is_so_dim_check(ColumnProfile(2, (3, 3, 1), 0))
-    assert is_so_dim_check(ColumnProfile(2, (0, 0, 0), 5))
-    assert is_so_dim_check(ColumnProfile(2, (4, 4, 2), 0))
+    assert not is_so_dim_check(ColumnProfile(2, {1: 3, 2: 3, 3: 1}, 0))
+    assert is_so_dim_check(ColumnProfile(2, {}, 5))
+    assert is_so_dim_check(ColumnProfile(2, {1: 4, 2: 4, 3: 2}, 0))
 
 
 def test_is_so_dim_check_k3():
-    assert is_so_dim_check(ColumnProfile(3, (1, 1, 3, 1, 1, 3, 1), 0))
-    assert not is_so_dim_check(ColumnProfile(3, (1, 1, 2, 1, 1, 3, 1), 0))
-    assert is_so_dim_check(ColumnProfile(3, (2,) * 7, 0))
+    all_odd = {1: 1, 2: 1, 3: 3, 4: 1, 5: 1, 6: 3, 7: 1}
+    assert is_so_dim_check(ColumnProfile(3, all_odd, 0))
+    assert not is_so_dim_check(ColumnProfile(3, {**all_odd, 3: 2}, 0))
+    assert is_so_dim_check(ColumnProfile(3, dict.fromkeys(range(1, 8), 2), 0))
 
 
 def test_is_so_dim_check_k4():
-    ext_hamming = [1 if i in {1, 2, 4, 7, 8, 11, 13, 14} else 0 for i in range(1, 16)]
-    assert is_so_dim_check(ColumnProfile(4, tuple(ext_hamming), 0))
+    ext_hamming = dict.fromkeys([1, 2, 4, 7, 8, 11, 13, 14], 1)
+    assert is_so_dim_check(ColumnProfile(4, ext_hamming, 0))
     assert not is_so_dim_check(column_profile(G_5_4))
-    assert is_so_dim_check(ColumnProfile(4, (2, 0, 4) + (0,) * 12, 0))
+    assert is_so_dim_check(ColumnProfile(4, {1: 2, 3: 4}, 0))
 
 
 def test_is_so_dim_check_refuses_other_dimensions():
     for k in (1, 5):
         with pytest.raises(WrongDimensionError):
-            is_so_dim_check(ColumnProfile(k, (1,) * ((1 << k) - 1), 0))
+            is_so_dim_check(ColumnProfile(k, dict.fromkeys(range(1, 1 << k), 1), 0))
 
 
 def test_parity_flips_exhaustive_against_parity_kernel():
@@ -281,7 +286,8 @@ def small_profiles(draw):
         # move the parities onto a self-orthogonal pattern
         odd = draw(st.sampled_from(_so_parity_masks(k)))
         ell = [c & ~1 | odd >> i & 1 for i, c in enumerate(ell, start=1)]
-    return ColumnProfile(k, tuple(ell), draw(st.integers(0, 2)))
+    counts = {i: c for i, c in enumerate(ell, start=1) if c}
+    return ColumnProfile(k, counts, draw(st.integers(0, 2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,9 +305,7 @@ def test_multiset_algebra_agrees_with_matrix(p):
                 word ^= m.rows[r]
         assert t[x] == word.bit_count()
     odd = p.parity_mask()
-    assert odd == _odd_mask(p.ell) == sum(
-        1 << i for i, c in enumerate(p.ell, start=1) if c & 1
-    )
+    assert odd == sum(1 << i for i, c in enumerate(p.ell, start=1) if c & 1)
     syndrome = 0
     for i in range(1, 1 << k):
         if odd >> i & 1:
@@ -312,6 +316,7 @@ def test_multiset_algebra_agrees_with_matrix(p):
         (t[x] + t[y] - t[x ^ y]) % 4 == 0 for x in range(1 << k) for y in range(1 << k)
     )
     assert _is_so_odd_mask(k, odd) == (syndrome == 0) == meets_evenly
+    assert _is_so_columns(p) == meets_evenly
     assert meets_evenly == gram(m).is_zero()
 
 
