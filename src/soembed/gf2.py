@@ -148,19 +148,12 @@ def _index_counts(rows: Sequence[int], n: int) -> list[tuple[int, int]]:
     return counts
 
 
-def _pair_parities(rows: Sequence[int], within: int = -1) -> Iterable[int]:
-    """For each pair of rows i <= j, row-major, the parity of the columns of
-    within on which both have a 1: the Gram matrix's upper triangle, on
-    those columns only."""
+def _pair_parities(rows: Sequence[int]) -> Iterable[int]:
+    """For each pair of rows i <= j, row-major, the parity of the columns on
+    which both have a 1: the Gram matrix's upper triangle."""
     for i, a in enumerate(rows):
-        a &= within
         for b in rows[i:]:
             yield (a & b).bit_count() & 1
-
-
-def _row_ip(a: int, b: int) -> int:
-    """Inner product of two bit rows already packed as ints."""
-    return (a & b).bit_count() & 1
 
 
 def _bits(mask: int) -> list[int]:
@@ -170,12 +163,13 @@ def _bits(mask: int) -> list[int]:
 
 def gram(m: BinaryMatrix) -> BinaryMatrix:
     """The k x k matrix of pairwise row inner products mod 2."""
-    out = []
+    out = [0] * m.k
+    parities = _pair_parities(m.rows)
     for i in range(m.k):
-        acc = 0
-        for j in range(m.k):
-            acc |= _row_ip(m.rows[i], m.rows[j]) << j
-        out.append(acc)
+        for j in range(i, m.k):
+            if next(parities):
+                out[i] |= 1 << j
+                out[j] |= 1 << i
     return BinaryMatrix(m.k, m.k, tuple(out))
 
 
@@ -702,19 +696,19 @@ def horizontal_join(m: BinaryMatrix, cols: Sequence[int]) -> BinaryMatrix:
     for i in cols:
         if not 0 <= i <= top:
             raise IndexOutOfRangeError(f"column index {i} outside 0..{top}")
-    if not cols:
-        return m
     rows = tuple(r | a << m.n for r, a in zip(m.rows, _column_rows(m.k, cols)))
     return BinaryMatrix(m.k, m.n + len(cols), rows)
 
 
 def _column_rows(k: int, cols: Sequence[int]) -> list[int]:
     """The k rows of the matrix whose column j has index cols[j], for
-    indices below 2**k and at least one column.
+    indices below 2**k; k zero rows when there is no column.
 
     The columns' k-bit strings, last column first, are joined into one
     string, so row pos is every k-th character from pos: O(k * n) in C.
     """
+    if not cols:
+        return [0] * k
     text = "".join(map(format, reversed(cols), repeat(f"0{k}b")))
     return [int(text[pos::k], 2) for pos in range(k)]
 

@@ -32,8 +32,8 @@ from .errors import CapExceededError, DomainError, NoSOCodeError
 from .gf2 import (
     BinaryMatrix,
     _bits,
+    _column_rows,
     _hit_masks,
-    _index_counts,
     gram,
     rank,
     random_matrix,
@@ -46,12 +46,12 @@ from .profiles import (
     _dim4_projected_counts,
     _gram_mask,
     _hit_vectors,
-    _is_so_odd_mask,
-    _odd_syndrome,
+    _is_so_columns,
     _parity_kernel_basis,
     _profile_weights,
     _so_parity_masks,
     _sym_masks,
+    column_profile,
 )
 
 PROFILE_SPACE_CAP = 10**8
@@ -85,7 +85,7 @@ def min_embedding_oracle(
         raise CapExceededError(f"oracle supports max_add <= {ORACLE_ADD_CAP}")
     if max_add < 0:
         raise DomainError("oracle needs max_add >= 0")
-    target = _gram_mask(m)
+    target = _gram_mask(m.rows)
     if target == 0:
         return 0
     gens = _sym_masks(m.k)[1:]
@@ -262,18 +262,11 @@ def _profile_of(k: int, counts: Sequence[int]) -> ColumnProfile:
     return ColumnProfile(k, {i: c for i, c in enumerate(counts) if i and c}, counts[0])
 
 
-def _dense_odd_mask(counts: Sequence[int]) -> int:
-    """Bit i set iff counts[i] is odd, for i >= 1 (counts[0]: zero columns)."""
-    return sum(1 << i for i, c in enumerate(counts) if i and c & 1)
-
-
 def _dense_counts(m: BinaryMatrix) -> list[int]:
     """counts[i] = number of columns of m with index i, i = 0 .. 2**k - 1:
     the form the random search moves columns in, at k <= 8."""
-    counts = [0] * (1 << m.k)
-    for idx, s in _index_counts(m.rows, m.n):
-        counts[idx] = s
-    return counts
+    p = column_profile(m)
+    return [p.zero_count, *p.ell]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +435,8 @@ def random_so_profile_search(
             )
             ell[pick] += 1
             t = _add_column(t, vecs[pick], 1)
-        for i in _bits(leaders[_odd_syndrome(k, _dense_odd_mask(ell))]):
+        odd = [i for i in range(1, ncols + 1) if ell[i] & 1]
+        for i in _bits(leaders[_gram_mask(_column_rows(k, odd))]):
             if sum(ell[1:]) < n:
                 ell[i] += 1
             elif ell[i] >= 1:
@@ -532,8 +526,8 @@ def random_so_profile_search(
         if ell is None:
             continue
         found = climb(ell)
-        if found > best and _is_so_odd_mask(k, _dense_odd_mask(ell)):
-            best, best_profile = found, _profile_of(k, ell)
+        if found > best and _is_so_columns(profile := _profile_of(k, ell)):
+            best, best_profile = found, profile
             if target_d is not None and best >= target_d:
                 break
     return best, best_profile

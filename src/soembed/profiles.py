@@ -8,7 +8,7 @@ the multiplicities on every index class, the parity rule
 (:func:`_parity_flips`) that the shortest embedding also reads.
 
 This module is also the one home of the column-multiset algebra that the
-oracles, the embeddings and the seed generator share: the codeword weights
+oracles, the embeddings and the seed recipes share: the codeword weights
 of a multiset of columns, the Gram matrix packed as a syndrome with one
 outer product per column, and the kernel of self-orthogonal parity
 patterns.
@@ -23,7 +23,6 @@ from typing import Sequence
 from .errors import CapExceededError, InvalidPolicyError, WrongDimensionError
 from .gf2 import (
     BinaryMatrix,
-    _bit_masks,
     _bits,
     _column_rows,
     _hit_masks,
@@ -110,14 +109,7 @@ def is_so_profile(m: BinaryMatrix) -> bool:
 def _is_so_columns(p: ColumnProfile) -> bool:
     """is_so_profile from p: the Gram matrix of p's odd-multiplicity
     columns, one copy of each, is zero (an even multiplicity cancels)."""
-    odd = p.odd_indices()
-    return not odd or not any(_pair_parities(_column_rows(p.k, odd)))
-
-
-def _is_so_odd_mask(k: int, odd_mask: int) -> bool:
-    """is_so_profile from the mask of odd multiplicities (bit i for index i):
-    _odd_syndrome(k, odd_mask) == 0, stopping at the first odd pair."""
-    return not any(_pair_parities(_bit_masks(k), odd_mask))
+    return not any(_pair_parities(_column_rows(p.k, p.odd_indices())))
 
 
 def is_so_dim_check(p: ColumnProfile) -> bool:
@@ -279,30 +271,23 @@ def _profile_weights(k: int, counts: Sequence[int]) -> list[int]:
     return t
 
 
-def _gram_mask(m: BinaryMatrix) -> int:
-    """The Gram matrix of m packed into an int.
+def _gram_mask(rows: Sequence[int]) -> int:
+    """The Gram matrix of the matrix with these rows, packed into an int.
 
     Bit positions enumerate the pairs (i, j), i <= j, of the symmetric
     k x k matrix, row-major.  It is the XOR of the columns' outer products
-    (_sym_masks), and so _odd_syndrome of the profile's parity mask.
+    (_sym_masks), and so that of the odd-multiplicity columns' own rows,
+    _gram_mask(_column_rows(k, odd)).
     """
-    return sum(p << pos for pos, p in enumerate(_pair_parities(m.rows)))
-
-
-def _odd_syndrome(k: int, odd_mask: int) -> int:
-    """The packed Gram matrix (_gram_mask) of any k-row code whose indices
-    of odd multiplicity are the bits of odd_mask: that of the matrix of all
-    2**k columns, whose column i is index i, on the columns of odd_mask."""
-    rows = _bit_masks(k)[::-1]
-    return sum(p << pos for pos, p in enumerate(_pair_parities(rows, odd_mask)))
+    return sum(p << pos for pos, p in enumerate(_pair_parities(rows)))
 
 
 @lru_cache(maxsize=None)
 def _sym_masks(k: int) -> tuple[int, ...]:
     """The outer product of each column index i = 0 .. 2**k - 1 with
-    itself, packed like _gram_mask, once per k.  XOR of these masks tracks
-    how appended columns change the Gram matrix."""
-    return tuple(_odd_syndrome(k, 1 << i) for i in range(1 << k))
+    itself, the packed Gram matrix of column i alone, once per k.  XOR of
+    these masks tracks how appended columns change the Gram matrix."""
+    return tuple(_gram_mask(_column_rows(k, [i])) for i in range(1 << k))
 
 
 @lru_cache(maxsize=None)

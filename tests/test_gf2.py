@@ -23,6 +23,7 @@ from soembed.errors import (
 from soembed.gf2 import (
     BinaryMatrix,
     _bz_min_weight,
+    _column_rows,
     _level_min_weight,
     _min_lane,
     _sliced_min_weight,
@@ -125,7 +126,8 @@ def test_gram_symmetric_random():
         g = gram(m)
         for i in range(m.k):
             for j in range(m.k):
-                assert g.rows[i] >> j & 1 == g.rows[j] >> i & 1
+                ip = (m.rows[i] & m.rows[j]).bit_count() & 1
+                assert g.rows[i] >> j & 1 == g.rows[j] >> i & 1 == ip
 
 
 def test_min_distance_examples():
@@ -190,6 +192,11 @@ def test_column_index_convention():
     for bad in (8, -1):
         with pytest.raises(IndexOutOfRangeError):
             horizontal_join(empty3, [1, bad])
+
+
+def test_column_rows_of_no_columns():
+    for k in range(1, 25):
+        assert _column_rows(k, []) == [0] * k
 
 
 def test_simplex_matrix():

@@ -1,5 +1,6 @@
 """Brute-force oracles: worked values, cross-checks, determinism."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -40,7 +41,6 @@ from soembed.profiles import (
     _dim4_projected_counts,
     _gram_mask,
     _hit_vectors,
-    _is_so_odd_mask,
     _profile_weights,
     _so_parity_masks,
     _sym_masks,
@@ -95,7 +95,7 @@ def small_matrices(draw, max_k):
 
 def ref_min_embedding(m, max_add):
     """The multiset loop the syndrome search replaced, one multiset at a time."""
-    target = _gram_mask(m)
+    target = _gram_mask(m.rows)
     if target == 0:
         return 0
     ncols = (1 << m.k) - 1
@@ -128,7 +128,7 @@ def test_min_embedding_matches_multiset_loop(m, max_add):
 @ORACLE_SETTINGS
 @given(small_matrices(max_k=5), st.integers(0, 8))
 def test_min_embedding_matches_coset_leaders(m, max_add):
-    need = _coset_leaders(m.k)[_gram_mask(m)].bit_count()
+    need = _coset_leaders(m.k)[_gram_mask(m.rows)].bit_count()
     expected = need if need <= max_add else None
     assert min_embedding_oracle(m, max_add) == expected
 
@@ -215,6 +215,33 @@ def test_enumerate_matches_naive():
     assert fast.distance == naive.distance
 
 
+@functools.cache
+def ref_outer_products(k):
+    """Per column index c, bit by bit: bit (i, j) of the pairs i <= j,
+    row-major, is set when c has a 1 on rows i and j (bit k - 1 - i of c
+    is its entry in row i)."""
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    return tuple(
+        sum(
+            1 << pos
+            for pos, (i, j) in enumerate(pairs)
+            if c >> (k - 1 - i) & c >> (k - 1 - j) & 1
+        )
+        for c in range(1 << k)
+    )
+
+
+def ref_is_so_parity(k, ell):
+    """Whether ell[i - 1] columns of each index i give a zero Gram matrix:
+    the outer products of the odd-multiplicity columns XOR to zero."""
+    outer = ref_outer_products(k)
+    syndrome = 0
+    for i, c in enumerate(ell, start=1):
+        if c & 1:
+            syndrome ^= outer[i]
+    return syndrome == 0
+
+
 def enumerate_codes_naive(n, k, so_only=False):
     """Reference implementation: literally iterate every composition.
 
@@ -223,9 +250,7 @@ def enumerate_codes_naive(n, k, so_only=False):
     """
     best = None
     for ell in _compositions_at_most(n, (1 << k) - 1):
-        if so_only and not _is_so_odd_mask(
-            k, sum(1 << i for i, c in enumerate(ell, start=1) if c & 1)
-        ):
+        if so_only and not ref_is_so_parity(k, ell):
             continue
         dmin = min(_profile_weights(k, (0, *ell))[1:])
         if dmin == 0:
@@ -341,7 +366,11 @@ def test_enumerate_k2_past_distance_256(n, so):
 @pytest.mark.parametrize("k, count", [(1, 1), (2, 1), (3, 2), (4, 32)])
 def test_so_parity_masks_match_scan(k, count):
     # every parity mask over indices 1 .. 2**k - 1 (bit 0 stays clear)
-    scan = [m for m in range(0, 1 << (1 << k), 2) if _is_so_odd_mask(k, m)]
+    scan = [
+        m
+        for m in range(0, 1 << (1 << k), 2)
+        if ref_is_so_parity(k, [m >> i & 1 for i in range(1, 1 << k)])
+    ]
     assert list(_so_parity_masks(k)) == scan
     assert len(scan) == count
 

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soembed.embedding import embed
 from soembed.errors import InvalidPolicyError, WrongDimensionError
 from soembed.gf2 import (
     _bits,
+    _column_rows,
     _hit_masks,
     gram,
     horizontal_join,
     parse_matrix,
+    random_full_rank_matrix,
     random_matrix,
     simplex_matrix,
 )
@@ -26,8 +29,6 @@ from soembed.profiles import (
     _dim4_projected_counts,
     _gram_mask,
     _is_so_columns,
-    _is_so_odd_mask,
-    _odd_syndrome,
     _pair_families,
     _parity_flips,
     _profile_weights,
@@ -38,6 +39,7 @@ from soembed.profiles import (
     is_so_dim_check,
     is_so_profile,
     matrix_from_profile,
+    so_verdicts,
 )
 
 G_10_3 = parse_matrix("0000111111\n0111001111\n1011010001")
@@ -86,6 +88,21 @@ def test_is_so_profile_examples():
     for k in range(2, 9):
         doubled = horizontal_join(simplex_matrix(k), range(1, 1 << k))
         assert is_so_profile(doubled)
+
+
+@pytest.mark.parametrize("k", [12, 16, 20, 24])
+def test_column_test_agrees_with_gram_at_large_k(k):
+    # an embedding's columns mostly occur once, so the column test reads
+    # the pairwise parities of nearly all of them; one more nonzero column
+    # adds its nonzero outer product to the Gram matrix
+    rng = random.Random(k)
+    so = embed(random_full_rank_matrix(rng, k, 4 * k)).output
+    broken = horizontal_join(so, [rng.randrange(1, 1 << k)])
+    for m, expected in ((so, True), (broken, False)):
+        p = column_profile(m)
+        assert 2 * len(p.odd_indices()) > m.n
+        assert is_so_profile(m) == gram(m).is_zero() == expected
+        assert so_verdicts(m, p) == {"gram_zero": expected, "column_test": expected}
 
 
 def test_is_so_dim_check_k2():
@@ -139,7 +156,8 @@ def test_parity_flips_exhaustive_against_parity_kernel():
                     union |= mask
                 assert odd ^ union in so_masks
                 assert union.bit_count() == fewest
-            assert (not any(rules[0])) == _is_so_odd_mask(k, odd)
+            one_copy = ColumnProfile(k, dict.fromkeys(_bits(odd), 1), 0)
+            assert (not any(rules[0])) == _is_so_columns(one_copy)
 
 
 def test_tables_structure():
@@ -310,12 +328,13 @@ def test_multiset_algebra_agrees_with_matrix(p):
     for i in range(1, 1 << k):
         if odd >> i & 1:
             syndrome ^= _sym_masks(k)[i]
-    assert _gram_mask(m) == _odd_syndrome(k, odd) == syndrome
+    assert _gram_mask(m.rows) == syndrome
+    assert _gram_mask(_column_rows(k, p.odd_indices())) == syndrome
     # codewords x, y meet in (t[x] + t[y] - t[x ^ y]) / 2 positions
     meets_evenly = all(
         (t[x] + t[y] - t[x ^ y]) % 4 == 0 for x in range(1 << k) for y in range(1 << k)
     )
-    assert _is_so_odd_mask(k, odd) == (syndrome == 0) == meets_evenly
+    assert (syndrome == 0) == meets_evenly
     assert _is_so_columns(p) == meets_evenly
     assert meets_evenly == gram(m).is_zero()
 
