@@ -8,8 +8,11 @@ distances come from exhaustive search over column-multiplicity profiles
 (which determine a code up to column permutation).  The self-orthogonal
 parity patterns that search may use are the kernel of the map sending an
 index set to the XOR of its columns' outer products, found by elimination,
-not read from the dimension-4 split tables.  The column-multiset algebra
-both run on (weights, Gram syndromes, parity kernel) lives in
+not read from the dimension-4 split tables.  The search refutes work
+without walking it only by theorems it computes itself: the Griesmer
+length rules out whole levels, gap sums rule out nodes, and one parity
+pattern per GL(k, 2) orbit stands for its orbit.  The column-multiset
+algebra both run on (weights, Gram syndromes, parity kernel) lives in
 :mod:`soembed.profiles`.
 
 The rest reuses the package.  random_so_profile_search starts some of its
@@ -57,6 +60,9 @@ from .profiles import (
 PROFILE_SPACE_CAP = 10**8
 ORACLE_K_CAP = 6
 ORACLE_ADD_CAP = 8
+# _search_profile skips the parity masks of a GL(k, 2) orbit that failed up
+# to this k; at k = 5 the flood fill over 2**16 masks would cost ~0.7 s.
+ORBIT_K_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +147,19 @@ def _feasible(
       it fails too.  A unit is `step` copies, so when step = 2 the parity
       of column i stays as the caller chose it.
 
-    Each skipped child would have returned None and the loop stays
-    ascending, so the witness is the one the unbounded loop finds.
+    Before the loop, a node fails when a message with a gap is hit by no
+    column 1 .. i (coverage), when one gap exceeds step * rem (worst gap),
+    when the gaps sum past step * rem * 2**(k - 1) (deficit: a column hits
+    half the messages), or, for 2 <= i < 2**(k - 1), on projected gaps.
+    Columns 1 .. i lie below 2**J, J = i.bit_length(), so a message x
+    gains what its class x mod 2**J gains, and a column hits 2**(J - 1)
+    of the classes: the node fails when the classes' largest gaps sum past
+    step * rem * 2**(J - 1).  (At i >= 2**(k - 1) that is the deficit
+    test, at i = 1 the worst-gap test.)
+
+    Each test is necessary for any completion, and each skipped child would
+    have returned None; the loop stays ascending, so the witness is the one
+    the unbounded loop finds.
     """
     hits = _hit_masks(k)
     vecs = _hit_vectors(k)
@@ -175,6 +192,15 @@ def _feasible(
             return [0] * i
         if max(hit_worst, miss_worst) > step * rem or deficit > step * rem * half:
             return None
+        if 1 < i < half:
+            size = 1 << i.bit_length()  # the projected gaps of the docstring
+            projected = 0
+            for p in range(1, size):
+                gap = d - min(t[p::size])
+                if gap > 0:
+                    projected += gap
+            if projected > step * rem * (size >> 1):
+                return None
         lo = -(-floor_gap // step)
         hi = min(rem + (-miss_worst // step), -(-hit_worst // step))
         if lo:
@@ -208,10 +234,14 @@ def enumerate_codes_by_profile(
 
     The levels d run down from the average-weight bound.  When so_only
     they are even only: a self-orthogonal code's weights are all even, so
-    level 2j - 1 is feasible exactly when level 2j is.
+    level 2j - 1 is feasible exactly when level 2j is.  A level with
+    Griesmer length g(k, d) > n fails without a search: every profile a
+    level accepts is an [n, k, >= d] code, and none is that short.  The
+    bound is a theorem computed here (_griesmer_length), not the closed
+    form under test, which this module never imports.
     """
     if not 1 <= k <= 4:
-        raise DomainError("profile enumeration supports k <= 4")
+        raise DomainError("profile enumeration supports 1 <= k <= 4")
     if n < 1:
         raise DomainError("need n >= 1")
     ncols = (1 << k) - 1
@@ -225,6 +255,8 @@ def enumerate_codes_by_profile(
     d_hi = min(n, (n << (k - 1)) // ncols)
     levels = range(d_hi & ~1, 0, -2) if so_only else range(d_hi, 0, -1)
     for d in levels:
+        if _griesmer_length(k, d) > n:
+            continue  # no [n, k, d] code exists: the level fails unsearched
         witness = _search_profile(n, k, d, parities)
         if witness is not None:
             return EnumerationResult(d, witness)
@@ -236,15 +268,23 @@ def _search_profile(
     n: int, k: int, d: int, parities: tuple[int, ...] | None
 ) -> ColumnProfile | None:
     """One feasibility level of the enumeration: any profile with min
-    weight >= d, or None."""
+    weight >= d, or None.
+
+    The parity masks run in the given order; at k <= ORBIT_K_CAP a mask
+    whose GL(k, 2) orbit already failed at this d is skipped, as it would
+    fail too (_parity_orbit_leaders), so the witness is the first mask's.
+    """
     ncols = (1 << k) - 1
     if parities is None:
         ell = _feasible(d, n, 1, [0] * (ncols + 1), k)
     else:
         ell = None
+        leaders = _parity_orbit_leaders(k) if k <= ORBIT_K_CAP else {}
+        failed = set()
         for bmask in parities:
             nbase = bmask.bit_count()
-            if nbase > n:
+            leader = leaders.get(bmask, bmask)
+            if nbase > n or leader in failed:
                 continue
             bits = [bmask >> i & 1 for i in range(ncols + 1)]
             base_t = _profile_weights(k, bits)
@@ -252,9 +292,51 @@ def _search_profile(
             if units is not None:
                 ell = [b + 2 * u for b, u in zip(bits[1:], units)]
                 break
+            failed.add(leader)
     if ell is None:
         return None
     return _profile_of(k, [n - sum(ell), *ell])
+
+
+def _griesmer_length(k: int, d: int) -> int:
+    """g(k, d) = sum of ceil(d / 2**i) over i < k: every binary [n, k, d]
+    code has n >= g(k, d) (Griesmer 1960)."""
+    return sum(-(-d >> i) for i in range(k))
+
+
+@lru_cache(maxsize=None)
+def _parity_orbit_leaders(k: int) -> dict[int, int]:
+    """Map each self-orthogonal parity mask to the least mask of its orbit
+    under GL(k, 2).
+
+    An invertible A sends the code with ell[i] columns of index i to the
+    one with ell[i] columns of index A i.  Its generator matrix A G spans
+    the same code, with the same weights and zero count, and is
+    self-orthogonal exactly when G is.  So A permutes the parity masks,
+    keeps their bit counts, and a mask is feasible at d exactly when its
+    image is.  The orbits are flood-filled over two generators of GL(k, 2),
+    the transvection adding coordinate 0 to coordinate 1 and the cycle of
+    the coordinates: 1, 1, 2 and 4 orbits at k = 1 .. 4.
+    """
+    top = (1 << k) - 1
+    gens = [
+        [c ^ (c & 1) << 1 for c in range(top + 1)],
+        [(c << 1 | c >> (k - 1)) & top for c in range(top + 1)],
+    ] if k > 1 else []
+    leader: dict[int, int] = {}
+    for m in _so_parity_masks(k):  # ascending, so m is the least of a new orbit
+        if m in leader:
+            continue
+        leader[m] = m
+        todo = [m]
+        while todo:
+            a = todo.pop()
+            for g in gens:
+                b = sum(1 << g[c] for c in _bits(a))
+                if b not in leader:
+                    leader[b] = m
+                    todo.append(b)
+    return leader
 
 
 def _profile_of(k: int, counts: Sequence[int]) -> ColumnProfile:

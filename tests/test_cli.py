@@ -254,6 +254,8 @@ def test_oracle_enumerate_distance_past_255(so, capsys):
 
 
 ELL_1_TO_14 = ", ".join(f"{i}: 1" for i in range(1, 15))
+ELL_2_TO_13 = ", ".join(f"{i}: 1" for i in range(2, 14))
+ELL_4_TO_12 = ", ".join(f"{i}: 1" for i in range(4, 13))
 
 
 ENUMERATE_PINS = [
@@ -273,6 +275,32 @@ ENUMERATE_PINS = [
      "best distance: 21\n"
      "witness profile: zero_count=0 "
      "ell={1: 5, 2: 6, 3: 6, 4: 6, 5: 6, 6: 5, 7: 4}\n"),
+    # the points the Griesmer level skip, the projected-gap prune and the
+    # parity-orbit skip shorten most, with the witnesses found before them
+    (["--n", "12", "--k", "4"],
+     "best distance: 6\n"
+     f"witness profile: zero_count=0 ell={{{ELL_2_TO_13}}}\n"),
+    (["--n", "11", "--k", "4"],
+     "best distance: 5\n"
+     f"witness profile: zero_count=0 ell={{1: 1, 2: 1, {ELL_4_TO_12}}}\n"),
+    (["--n", "10", "--k", "4"],
+     "best distance: 4\n"
+     "witness profile: zero_count=0 "
+     "ell={2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 3, 9: 1}\n"),
+    (["--n", "6", "--k", "4"],
+     "best distance: 2\n"
+     "witness profile: zero_count=0 ell={2: 1, 3: 1, 4: 1, 5: 1, 8: 2}\n"),
+    (["--n", "30", "--k", "3"],
+     "best distance: 16\n"
+     "witness profile: zero_count=0 "
+     "ell={1: 2, 2: 6, 3: 6, 4: 6, 5: 6, 6: 2, 7: 2}\n"),
+    (["--n", "34", "--k", "3"],
+     "best distance: 19\n"
+     "witness profile: zero_count=0 "
+     "ell={1: 5, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5, 7: 4}\n"),
+    (["--n", "12", "--k", "4", "--so"],
+     "best distance: 4\n"
+     "witness profile: zero_count=0 ell={2: 2, 3: 2, 4: 2, 5: 2, 8: 4}\n"),
 ]
 
 
@@ -285,6 +313,13 @@ def test_oracle_enumerate_witness_pinned(args, out, capsys):
     # the first witness the search finds, not only its distance
     assert main(["oracle", "enumerate", *args]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_oracle_enumerate_domain(capsys):
+    assert main(["oracle", "enumerate", "--n", "10", "--k", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "supports 1 <= k <= 4" in captured.err
 
 
 def test_oracle_claims(capsys):

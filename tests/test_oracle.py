@@ -1,9 +1,12 @@
 """Brute-force oracles: worked values, cross-checks, determinism."""
 
+import ast
 import functools
 import hashlib
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +25,17 @@ from soembed.gf2 import (
     rank,
     simplex_matrix,
 )
-from soembed.distances import d_opt, dso_opt
+from soembed import oracle
+from soembed.distances import d_opt, dso_opt, griesmer_g
 from soembed.oracle import (
+    PROFILE_SPACE_CAP,
     EnumerationResult,
     _coset_leaders,
     _feasible,
+    _griesmer_length,
     _improving_move,
+    _parity_orbit_leaders,
+    _search_profile,
     _weight_levels,
     enumerate_codes_by_profile,
     min_embedding_oracle,
@@ -341,7 +349,7 @@ def feasible_queries(k, lengths, linear, so):
         (1, range(1, 13), True, True),
         (2, range(1, 13), True, True),
         (3, range(1, 13), True, True),
-        (4, range(1, 10), True, True),
+        (4, range(1, 14), True, True),
         (5, range(1, 5), True, False),
         (5, range(1, 9), False, True),
     ],
@@ -352,6 +360,96 @@ def test_feasible_bounds_keep_the_first_witness(k, lengths, linear, so):
     for d, budget, step, base_t in feasible_queries(k, lengths, linear, so):
         expected = ref_feasible(d, budget, step, base_t, k)
         assert _feasible(d, budget, step, base_t, k) == expected, (k, d, budget, step)
+
+
+def test_griesmer_skips_only_failing_levels():
+    # every level enumerate skips by the Griesmer bound, searched anyway;
+    # n stops at 400 where the cap is larger (k <= 2, where nothing is skipped)
+    skipped = 0
+    for k in (1, 2, 3, 4):
+        ncols = (1 << k) - 1
+        parities = {False: None, True: _so_parity_masks(k)}
+        for n in range(1, 401):
+            if math.comb(n + ncols, ncols) > PROFILE_SPACE_CAP:
+                break
+            d_hi = min(n, (n << (k - 1)) // ncols)
+            for d in range(1, d_hi + 1):
+                assert _griesmer_length(k, d) == griesmer_g(k, d)
+                if _griesmer_length(k, d) <= n:
+                    continue
+                assert k >= 3  # the average-weight bound is Griesmer's at k <= 2
+                skipped += 1
+                for so in (False, True):
+                    assert _search_profile(n, k, d, parities[so]) is None, (n, k, d, so)
+    assert skipped == 11
+
+
+def test_oracle_imports_nothing_from_distances():
+    # the level skip computes its bound locally: the search stays
+    # independent of the closed forms it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "distances" not in (node.module or "")
+            assert all("distances" not in a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("distances" not in a.name for a in node.names)
+
+
+def gl2_image(k, a_cols, mask):
+    """The image of a parity mask under the invertible map A whose column
+    j is a_cols[j]: bit c of the mask moves to bit A c."""
+    out = 0
+    for c in range(1, 1 << k):
+        if mask >> c & 1:
+            img = 0
+            for j in range(k):
+                if c >> j & 1:
+                    img ^= a_cols[j]
+            out |= 1 << img
+    return out
+
+
+@pytest.mark.parametrize("k, orbits", [(1, 1), (2, 1), (3, 2), (4, 4)])
+def test_parity_orbits_are_the_gl2_orbits(k, orbits):
+    leaders = _parity_orbit_leaders(k)
+    assert sorted(leaders) == list(_so_parity_masks(k))
+    assert len(set(leaders.values())) == orbits
+    for m, lead in leaders.items():
+        assert lead <= m and leaders[lead] == lead
+    # every invertible A keeps each mask in its orbit, so the flood fill's
+    # two generators reach all of GL(k, 2), not a subgroup of it; at k = 4
+    # a sample of 200 of its 20,160 elements
+    group = [
+        a_cols
+        for a_cols in itertools.product(range(1, 1 << k), repeat=k)
+        if rank(BinaryMatrix(k, k, a_cols)) == k
+    ]
+    if k == 4:
+        group = random.Random(4).sample(group, 200)
+    for a_cols in group:
+        for m, lead in leaders.items():
+            assert leaders[gl2_image(k, a_cols, m)] == lead
+
+
+@pytest.mark.parametrize("k, lengths", [(3, range(1, 21)), (4, range(1, 14))])
+def test_orbit_masks_share_their_verdict(k, lengths):
+    # the search skips a mask whose orbit failed at this level: sound only
+    # because every mask of an orbit is feasible or none is
+    ncols = (1 << k) - 1
+    leaders = _parity_orbit_leaders(k)
+    for n in lengths:
+        d_hi = min(n, (n << (k - 1)) // ncols)
+        for d in range(1, d_hi + 2):
+            verdicts = {}
+            for bmask in _so_parity_masks(k):
+                nbase = bmask.bit_count()
+                if nbase > n:
+                    continue
+                bits = [bmask >> i & 1 for i in range(ncols + 1)]
+                units = _feasible(d, (n - nbase) // 2, 2, _profile_weights(k, bits), k)
+                verdicts.setdefault(leaders[bmask], set()).add(units is not None)
+            assert all(len(v) == 1 for v in verdicts.values()), (k, n, d)
 
 
 @pytest.mark.parametrize("n", [384, 401])
