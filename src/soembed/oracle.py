@@ -18,7 +18,9 @@ algebra both run on (weights, Gram syndromes, parity kernel) lives in
 The rest reuses the package.  random_so_profile_search starts some of its
 trials from :func:`soembed.embedding.embed` output, and
 verify_claims_prop414 sweeps the dimension-4 class masks and projected
-counts of :mod:`soembed.profiles`, the ones the embedding reads.
+counts of :mod:`soembed.profiles`, the ones the embedding reads; it too
+refutes by a fact it proves: a pattern's minimum over the splits is at
+most its count on any one.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .profiles import (
     _parity_kernel_basis,
     _profile_weights,
     _so_parity_masks,
+    _split_count,
     _sym_masks,
     column_profile,
 )
@@ -367,27 +370,48 @@ class Claims414:
 
 def verify_claims_prop414() -> Claims414:
     """Sweep every odd-parity pattern that projects to 7 = 3 + 4 or 6
-    columns on the first split and record the worst minimized total."""
-    bits7 = _bits(CLASS7_MASKS[0])
-    bits8 = _bits(CLASS8_MASKS[0])
+    columns on the first split and record the worst minimized total.
 
-    def sweep(size7: int, size8: int) -> tuple[int, int]:
-        worst = 0
+    The max is exact though few patterns are scored on all 15 splits: one
+    with a count <= the running worst on any split cannot raise it.  With
+    the 7-class part m7 fixed, a split's count depends only on how many
+    indices a of the 8-class part lie in its 7-class (_split_count), so the
+    parts of each (s, a), one mask groups[s][a], are refuted at once.  A
+    survivor is scored by _dim4_projected_counts and the rest refuted again.
+    """
+    bits7, bits8 = _bits(CLASS7_MASKS[0]), _bits(CLASS8_MASKS[0])
+
+    def sweep(size7: int, size8: int, worst: int) -> tuple[int, int]:
+        subs8 = [sum(1 << i for i in sub) for sub in itertools.combinations(bits8, size8)]
+        groups = [[0] * (size8 + 1) for _ in CLASS7_MASKS]
+        for pos, m8 in enumerate(subs8):
+            for by_a, c7 in zip(groups, CLASS7_MASKS):
+                by_a[(m8 & c7).bit_count()] |= 1 << pos
+        # cost[in7][a]: a split's count when m7 has in7 indices in its 7-class
+        cost = [
+            [_split_count(in7 + a, size7 - in7 + size8 - a) for a in range(size8 + 1)]
+            for in7 in range(size7 + 1)
+        ]
         count = 0
         for sub7 in itertools.combinations(bits7, size7):
             m7 = sum(1 << i for i in sub7)
-            for sub8 in itertools.combinations(bits8, size8):
-                j1 = m7 | sum(1 << i for i in sub8)
-                count += 1
-                m = min(_dim4_projected_counts(j1))
-                if m > worst:
-                    worst = m
+            count += len(subs8)
+            alive = (1 << len(subs8)) - 1
+            while alive:
+                for by_a, c7 in zip(groups, CLASS7_MASKS):
+                    for group, n in zip(by_a, cost[(m7 & c7).bit_count()]):
+                        if n <= worst:
+                            alive &= ~group
+                if alive:
+                    pos = (alive & -alive).bit_length() - 1
+                    alive ^= 1 << pos
+                    worst = max(worst, min(_dim4_projected_counts(m7 | subs8[pos])))
         return worst, count
 
-    max1, count1 = sweep(3, 4)
-    w33, c33 = sweep(3, 3)
-    w24, c24 = sweep(2, 4)
-    return Claims414(max1, max(w33, w24), count1, c33 + c24)
+    max1, count1 = sweep(3, 4, 0)
+    w33, c33 = sweep(3, 3, 0)
+    max2, c24 = sweep(2, 4, w33)  # the max over both families
+    return Claims414(max1, max2, count1, c33 + c24)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +427,7 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
     Only built for k <= 5, where the syndrome space is small.
     """
     nsyn = 1 << (k * (k + 1) // 2)
-    masks = _sym_masks(k)[1:]
+    gens = [(1 << i, sm) for i, sm in enumerate(_sym_masks(k)) if i]
     leaders = [-1] * nsyn
     leaders[0] = 0
     frontier = [0]
@@ -411,12 +435,11 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
         nxt = []
         for syn in frontier:
             lead = leaders[syn]
-            for i, sm in enumerate(masks, start=1):
-                if lead >> i & 1:
-                    continue
+            # a flip already in lead leads back to an assigned, smaller layer
+            for bit, sm in gens:
                 syn2 = syn ^ sm
                 if leaders[syn2] == -1:
-                    leaders[syn2] = lead | (1 << i)
+                    leaders[syn2] = lead | bit
                     nxt.append(syn2)
         frontier = nxt
     return tuple(leaders)

@@ -156,8 +156,8 @@ def test_criterion_5_pattern_sweep():
         result = verify_claims_prop414()
         assert result.count1 == 2450
         assert result.count2 == 3430
-        assert result.max1 <= 5
-        assert result.max2 <= 5
+        assert result.max1 == 4
+        assert result.max2 == 5
 
 
 # transcription of the published tables of best self-orthogonal distances

@@ -16,6 +16,7 @@ from soembed.cli import main
 from soembed.errors import CapExceededError, DomainError, NoSOCodeError
 from soembed.gf2 import (
     BinaryMatrix,
+    _bits,
     _hit_masks,
     gram,
     horizontal_join,
@@ -29,6 +30,7 @@ from soembed import oracle
 from soembed.distances import d_opt, dso_opt, griesmer_g
 from soembed.oracle import (
     PROFILE_SPACE_CAP,
+    Claims414,
     EnumerationResult,
     _coset_leaders,
     _feasible,
@@ -44,6 +46,8 @@ from soembed.oracle import (
     verify_claims_prop414,
 )
 from soembed.profiles import (
+    CLASS7_MASKS,
+    CLASS8_MASKS,
     ColumnProfile,
     _add_column,
     _dim4_projected_counts,
@@ -488,8 +492,24 @@ def test_claims_sweep():
     result = verify_claims_prop414()
     assert result.count1 == 2450
     assert result.count2 == 3430
-    assert result.max1 <= 5
-    assert result.max2 <= 5
+    assert result.max1 == 4
+    assert result.max2 == 5
+
+
+def test_claims_sweep_matches_naive_sweep():
+    # every pattern scored on all 15 splits, nothing refuted
+    bits7, bits8 = _bits(CLASS7_MASKS[0]), _bits(CLASS8_MASKS[0])
+
+    def naive(size7, size8):
+        mins = [
+            min(_dim4_projected_counts(sum(1 << i for i in sub7 + sub8)))
+            for sub7 in itertools.combinations(bits7, size7)
+            for sub8 in itertools.combinations(bits8, size8)
+        ]
+        return max(mins), len(mins)
+
+    (max1, count1), (w33, c33), (w24, c24) = naive(3, 4), naive(3, 3), naive(2, 4)
+    assert verify_claims_prop414() == Claims414(max1, max(w33, w24), count1, c33 + c24)
 
 
 def test_claims_all_odd_pattern():

@@ -34,6 +34,7 @@ from soembed.profiles import (
     _profile_weights,
     _parity_kernel_basis,
     _so_parity_masks,
+    _split_count,
     _sym_masks,
     column_profile,
     is_so_dim_check,
@@ -233,6 +234,15 @@ def test_parity_flips_refuses_non_minimizing_split():
     with pytest.raises(InvalidPolicyError, match="^s0=1 appends 6 columns, minimum is 1$"):
         _parity_flips(odd, 4, 1)
     assert _parity_flips(odd, 4, 15) == _parity_flips(odd, 4)
+
+
+def test_split_count_matches_projected_counts():
+    # the per-split rule the claims414 sweep refutes with, on every odd mask
+    for odd in range(0, 1 << 16, 2):
+        assert _dim4_projected_counts(odd) == [
+            _split_count((odd & m7).bit_count(), (odd & m8).bit_count())
+            for m7, m8 in zip(CLASS7_MASKS, CLASS8_MASKS)
+        ]
 
 
 def test_class_flips_dim3_matches_inline_rule():
