@@ -445,15 +445,70 @@ def _coset_leaders(k: int) -> tuple[int, ...]:
     return tuple(leaders)
 
 
-def _weight_levels(t: list[int], m: int) -> list[int]:
-    """lev[j], j < 3: the mask of the messages x >= 1 of weight m + j, m the
-    least weight in t[1:]."""
-    lev = [0, 0, 0]
-    for x in range(1, len(t)):
-        j = t[x] - m
-        if j < 3:
-            lev[j] |= 1 << x
-    return lev
+def _planes_add(planes: list[int], hit: int, j: int) -> None:
+    """Add 2**j copies of the column with hit mask hit to message weights
+    held as bit planes: bit x of planes[p] is bit p of message x's weight.
+    A carry ripple from plane j; the planes grow as the weights do."""
+    while hit:
+        if j >= len(planes):
+            planes.extend([0] * (j - len(planes)))
+            planes.append(hit)
+            return
+        p = planes[j]
+        planes[j] = p ^ hit
+        hit &= p
+        j += 1
+
+
+def _planes_sub(planes: list[int], hit: int, j: int) -> None:
+    """Remove 2**j copies of the column with hit mask hit, which every
+    message it hits must weigh at least: a borrow ripple from plane j, after
+    which empty top planes are dropped."""
+    while hit:
+        p = planes[j]
+        planes[j] = p ^ hit
+        hit &= ~p
+        j += 1
+    while planes and not planes[-1]:
+        planes.pop()
+
+
+def _profile_planes(k: int, counts: Sequence[int]) -> list[int]:
+    """The bit planes of _profile_weights(k, counts): counts[i] copies of
+    column i enter as one ripple per set bit of counts[i]."""
+    planes: list[int] = []
+    for hit, c in zip(_hit_masks(k), counts):
+        for j in _bits(c):
+            _planes_add(planes, hit, j)
+    return planes
+
+
+def _planes_min(planes: list[int], full: int) -> tuple[int, int]:
+    """The least weight m of the messages in mask full, and their mask:
+    from the top plane down, bit j of m is 0 when a candidate has it 0."""
+    low, m = full, 0
+    for j in range(len(planes) - 1, -1, -1):
+        zero = low & ~planes[j]
+        if zero:
+            low = zero
+        else:
+            m |= 1 << j
+    return m, low
+
+
+def _planes_levels(planes: list[int], full: int) -> tuple[int, list[int]]:
+    """The least weight m of the messages in full, and lev[j], j < 3, the
+    mask of those of weight m + j: each plane keeps the messages whose bit
+    agrees with that of m + j."""
+    m, low = _planes_min(planes, full)
+    lev = [low]
+    for w in (m + 1, m + 2):
+        eq = 0 if w >> len(planes) else full
+        for p in planes:
+            eq &= p if w & 1 else ~p
+            w >>= 1
+        lev.append(eq)
+    return m, lev
 
 
 def _improving_move(
@@ -461,7 +516,7 @@ def _improving_move(
 ) -> tuple[int, int] | None:
     """The first (a, b), a over donors then b over receivers, whose move of
     two columns from a to b raises the score (m, -count at m) of weights of
-    least weight m and _weight_levels lev, or None.  Weights rise by 2 on
+    least weight m and _planes_levels lev, or None.  Weights rise by 2 on
     hits[b] & ~hits[a] and fall by 2 on hits[a] & ~hits[b]: the score rises
     exactly when nothing of weight m or m + 1 falls and more messages leave
     weight m than fall onto it from m + 2."""
@@ -494,9 +549,11 @@ def random_so_search(
     (when n is long enough) from a simplex juxtaposition.  Local moves
     that keep the parities then improve it: duplicate pairs shift between
     indices, scored by masks of the messages at the three lowest weights,
-    not by rebuilding the weights, and parity patterns whose outer products
-    cancel flip.  Deterministic for a given seed; 0 if no trial produces a
-    rank-k self-orthogonal matrix.
+    and parity patterns whose outer products cancel flip.  The weights are
+    held as bit planes (_planes_add), so a move is a carry or borrow ripple
+    and the masks come from a few operations per plane, not from a loop
+    over the 2**k messages.  Deterministic for a given seed; 0 if no trial
+    produces a rank-k self-orthogonal matrix.
     """
     found, _ = random_so_profile_search(n, k, trials, target_d, rng_seed)
     return found
@@ -514,12 +571,14 @@ def random_so_profile_search(
         raise DomainError("random search needs k >= 1 and n >= 0")
     if trials < 1:
         raise DomainError("random search needs trials >= 1")
+    if target_d is not None and target_d < 1:
+        raise DomainError("random search needs target >= 1")
     if k > 8:
         raise CapExceededError("random search supports k <= 8")
     rng = random.Random(rng_seed)
     ncols = (1 << k) - 1
+    full = (1 << (ncols + 1)) - 2  # the messages x = 1 .. ncols
     hits = _hit_masks(k)
-    vecs = _hit_vectors(k)
     kernel = _parity_kernel_basis(k)
     leaders = _coset_leaders(k) if k <= 5 else None
     best = 0
@@ -529,17 +588,28 @@ def random_so_profile_search(
         """Grow columns maximizing the running minimum weight m (m + 1 after
         column i exactly when i hits the mask low of the messages of weight
         m), then flip a minimal parity set (syndrome-decoded) to land on
-        self-orthogonality."""
+        self-orthogonality.
+
+        <x, i> is symmetric, so hits[x] read as a column mask holds the
+        columns hitting x, and the AND over low holds those hitting all of
+        low.  The pick is the one of them with the largest draw, or of all
+        columns when none hits all; a tie goes to the larger index."""
         ell = [0] * (ncols + 1)
-        t = [0] * (ncols + 1)
+        planes: list[int] = []
         reserve = rng.randrange(0, 5)
         for _ in range(max(n - reserve, 0)):
-            low = _weight_levels(t, min(t[1:]))[0]
-            _, _, pick = max(
-                (not low & ~hits[i], rng.random(), i) for i in range(1, ncols + 1)
-            )
+            _, low = _planes_min(planes, full)
+            draws = [rng.random() for _ in range(ncols)]
+            cover = full
+            while low and cover:
+                x = low & -low
+                cover &= hits[x.bit_length() - 1]
+                low ^= x
+            # column i's draw is draws[i - 1]
+            cols = _bits(cover >> 1) if cover else range(ncols)
+            pick = 1 + max(reversed(cols), key=draws.__getitem__)
             ell[pick] += 1
-            t = _add_column(t, vecs[pick], 1)
+            _planes_add(planes, hits[pick], 0)
         odd = [i for i in range(1, ncols + 1) if ell[i] & 1]
         for i in _bits(leaders[_gram_mask(_column_rows(k, odd))]):
             if sum(ell[1:]) < n:
@@ -550,23 +620,23 @@ def random_so_profile_search(
                 return None
         return ell
 
-    def score_of(t: list[int]) -> tuple[int, int]:
-        dmin = min(t[1:])
-        return dmin, -t[1:].count(dmin)
+    def score(planes: list[int]) -> tuple[tuple[int, int], list[int]]:
+        """(m, -count at m) of the least weight m, and _planes_levels lev."""
+        m, lev = _planes_levels(planes, full)
+        return (m, -lev[0].bit_count()), lev
 
     def climb(ell: list[int]) -> int:
         ell[0] = n - sum(ell[1:])
-        t = _profile_weights(k, ell)
-        cur = score_of(t)
+        planes = _profile_planes(k, ell)
+        cur, lev = score(planes)
         stalls = 0
         for _ in range(60 * ncols):
             if target_d is not None and cur[0] >= target_d:
                 break
-            lev = _weight_levels(t, cur[0])
             worst = lev[0] & -lev[0]
             # move a duplicate pair onto a column covering the worst message
             donors = [i for i in range(ncols + 1) if ell[i] >= 2]
-            receivers = [i for i in range(1, ncols + 1) if hits[i] & worst]
+            receivers = _bits(hits[worst.bit_length() - 1])
             rng.shuffle(donors)
             rng.shuffle(receivers)
             move = _improving_move(lev, hits, donors, receivers)
@@ -575,8 +645,9 @@ def random_so_profile_search(
                 a, b = move
                 ell[a] -= 2
                 ell[b] += 2
-                t = _add_column(_add_column(t, vecs[b], 2), vecs[a], -2)
-                cur = score_of(t)
+                _planes_add(planes, hits[b], 1)
+                _planes_sub(planes, hits[a], 1)
+                cur, lev = score(planes)
             elif kernel:
                 # flip the parity of a cancelling index set; the zero-column
                 # count absorbs any imbalance so the length stays n
@@ -592,10 +663,16 @@ def random_so_profile_search(
                         trial[i] += 1
                 trial[0] = n - sum(trial[1:])
                 if trial[0] >= 0:
-                    t2 = _profile_weights(k, trial)
-                    if score_of(t2) >= cur:
+                    planes2 = planes.copy()
+                    for i in _bits(mask):
+                        if trial[i] > ell[i]:
+                            _planes_add(planes2, hits[i], 0)
+                        else:
+                            _planes_sub(planes2, hits[i], 0)
+                    cur2, lev2 = score(planes2)
+                    if cur2 >= cur:
                         ell[:] = trial
-                        t, cur = t2, score_of(t2)
+                        planes, cur, lev = planes2, cur2, lev2
                         moved = True
             stalls = 0 if moved else stalls + 1
             if stalls > 8:

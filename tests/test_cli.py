@@ -357,6 +357,18 @@ def test_oracle_random_negative_trials(capsys):
     assert "trials >= 1" in captured.err
 
 
+@pytest.mark.parametrize("target", ["0", "-3"])
+def test_oracle_random_target_below_one(target, capsys):
+    # the same seed reaches 20 with --target 20; a target of 0 would stop
+    # every climb at once and print 14 with exit 0
+    args = ["oracle", "random", "--n", "40", "--k", "5", "--trials", "100",
+            "--seed", "5040", "--target", target]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "target >= 1" in captured.err
+
+
 @pytest.mark.parametrize("n, k", [("10", "0"), ("-5", "3"), ("2", "3")])
 def test_build_domain(n, k, capsys):
     assert main(["build", "--n", n, "--k", k]) == 3

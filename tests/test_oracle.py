@@ -38,7 +38,6 @@ from soembed.oracle import (
     _improving_move,
     _parity_orbit_leaders,
     _search_profile,
-    _weight_levels,
     enumerate_codes_by_profile,
     min_embedding_oracle,
     random_so_profile_search,
@@ -528,8 +527,9 @@ def test_random_search_deterministic():
 
 
 # (n, k, trials, seed, target, best, sha256(dense_repr(profile))[:16]): the
-# benchmark's verify (k = 5, target dso_opt) and deep (k = 8) searches, and
-# k = 2, 3, 4, 6, 7 with and without a target; "dc937b59892604f5" is None
+# benchmark's verify (k = 5, target dso_opt) and deep (k = 8) searches,
+# k = 2, 3, 4, 6, 7 with and without a target, and the benchmark's wide
+# (k = 3, target dso_opt) searches; "dc937b59892604f5" is None
 RANDOM_SEARCH_PINS = [
     (16, 5, 100, 5016, 8, 6, "942ca819657d7099"),
     (20, 5, 100, 5020, 8, 8, "860dc5392f2278e8"),
@@ -569,6 +569,11 @@ RANDOM_SEARCH_PINS = [
     (28, 7, 20, 9, 12, 10, "1d3b2a5d36adb91f"),
     (48, 7, 10, 10, None, 20, "b60ebfb5d4468e32"),
     (48, 7, 10, 10, 20, 20, "b60ebfb5d4468e32"),
+    (100, 3, 100, 3100, 56, 56, "98fa359dc277bf7a"),
+    (150, 3, 100, 3150, 84, 84, "9c3ad39b115f081f"),
+    (200, 3, 100, 3200, 112, 112, "8917fb60e17b47e1"),
+    (250, 3, 100, 3250, 142, 142, "f976d44808fac9bc"),
+    (300, 3, 100, 3300, 170, 170, "61510cdc2a30e98f"),
 ]
 
 
@@ -594,11 +599,82 @@ def ref_score(t):
     return dmin, -t[1:].count(dmin)
 
 
+def ref_weight_levels(t, m):
+    """lev[j], j < 3: the mask of the messages x >= 1 of weight m + j, m the
+    least weight in t[1:], read off the weight list as the climb did before
+    it held the weights as bit planes."""
+    lev = [0, 0, 0]
+    for x in range(1, len(t)):
+        j = t[x] - m
+        if j < 3:
+            lev[j] |= 1 << x
+    return lev
+
+
 def ref_move_improves(t, cur, a, b):
     """The climb's scoring before level masks: rebuild the weights t, of
     score cur, after moving two columns from index a to index b."""
     vecs = _hit_vectors((len(t) - 1).bit_length())
     return ref_score(_add_column(_add_column(t, vecs[b], 2), vecs[a], -2)) > cur
+
+
+def plane_weights(k, planes):
+    """The weight list that bit planes hold: bit j of t[x] is bit x of planes[j]."""
+    return [sum((p >> x & 1) << j for j, p in enumerate(planes)) for x in range(1 << k)]
+
+
+def all_messages(k):
+    return (1 << (1 << k)) - 2
+
+
+@pytest.mark.parametrize("big", [3, 600])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_planes_match_profile_weights(k, big):
+    # weights past 256 carry into new planes, and removing every copy
+    # drops the emptied top planes down to none
+    rng = random.Random(1000 * k + big)
+    hits = _hit_masks(k)
+    full = all_messages(k)
+    counts = [rng.choice((0, 0, rng.randint(1, big))) for _ in range(1 << k)]
+    counts[0] = rng.randint(1, big)  # the zero column weighs nothing
+    counts[-1] = rng.randint(big // 2, big)  # past 256 when big is
+
+    def check(planes):
+        t = _profile_weights(k, counts)
+        assert plane_weights(k, planes) == t
+        assert not planes or planes[-1], "an empty top plane"
+        m, lev = oracle._planes_levels(planes, full)
+        assert m == min(t[1:])
+        assert lev == ref_weight_levels(t, m)
+        assert oracle._planes_min(planes, full) == (m, lev[0])
+
+    planes = oracle._profile_planes(k, counts)
+    check(planes)
+    assert big < 256 or len(planes) > 8
+    # the same weights from power-of-two chunks, in a random column order
+    grown = []
+    for i in rng.sample(range(1 << k), 1 << k):
+        c = counts[i]
+        while c:
+            j = rng.randrange(c.bit_length())
+            oracle._planes_add(grown, hits[i], j)
+            c -= 1 << j
+    assert grown == planes
+    # pair removals column by column, checked after about 16 columns, then
+    # the last single copies
+    every = max(1, 1 << k >> 4)
+    for step, i in enumerate(rng.sample(range(1, 1 << k), (1 << k) - 1)):
+        while counts[i] >= 2:
+            oracle._planes_sub(planes, hits[i], 1)
+            counts[i] -= 2
+        if step % every == 0:
+            check(planes)
+    for i in range(1, 1 << k):
+        if counts[i]:
+            oracle._planes_sub(planes, hits[i], 0)
+            counts[i] = 0
+    check(planes)
+    assert planes == []
 
 
 @st.composite
@@ -620,11 +696,13 @@ def test_level_masks_match_weight_rebuild(profile):
     hits = _hit_masks(k)
     t = _profile_weights(k, counts)
     cur = ref_score(t)
-    lev = _weight_levels(t, cur[0])
+    m, lev = oracle._planes_levels(oracle._profile_planes(k, counts), all_messages(k))
+    assert (m, lev) == (cur[0], ref_weight_levels(t, cur[0]))
     ncols = (1 << k) - 1
     worst = t[1:].index(cur[0]) + 1
     donors = [a for a in range(ncols + 1) if counts[a] >= 2]
     receivers = [b for b in range(1, ncols + 1) if hits[b] >> worst & 1]
+    assert receivers == _bits(hits[worst])  # <x, i> is symmetric
     moves = [(a, b) for a in donors for b in receivers]
     improving = [(a, b) for a, b in moves if ref_move_improves(t, cur, a, b)]
     expected = set(improving)
@@ -632,11 +710,14 @@ def test_level_masks_match_weight_rebuild(profile):
         found = _improving_move(lev, hits, [a], [b])
         assert (found is not None) == ((a, b) in expected), (k, a, b)
     assert _improving_move(lev, hits, donors, receivers) == next(iter(improving), None)
-    # greedy's worst weight after one more copy of column i
+    # greedy's worst weight after one more copy of column i, and the
+    # columns greedy reads as covering the least weight
     vecs = _hit_vectors(k)
+    cover = functools.reduce(int.__and__, (hits[x] for x in _bits(lev[0])))
     for i in range(1, ncols + 1):
         after = min(t[x] + vecs[i][x] for x in range(1, ncols + 1))
         assert cur[0] + (not lev[0] & ~hits[i]) == after, (k, i)
+        assert (cover >> i & 1) == (not lev[0] & ~hits[i]), (k, i)
 
 
 @pytest.mark.parametrize("trials", [0, -4])
