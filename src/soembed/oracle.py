@@ -3,16 +3,19 @@ randomized search for good self-orthogonal codes.
 
 Two oracles do not use the closed-form machinery they check.  Minimal
 embeddings come from an exhaustive meet-in-the-middle breadth-first search
-over Gram syndromes, the states reachable by appending columns.  Optimal
-distances come from exhaustive search over column-multiplicity profiles
-(which determine a code up to column permutation).  The self-orthogonal
-parity patterns that search may use are the kernel of the map sending an
-index set to the XOR of its columns' outer products, found by elimination,
-not read from the dimension-4 split tables.  The search refutes work
-without walking it only by theorems it computes itself: the Griesmer
-length rules out whole levels, gap sums rule out nodes, and one parity
-pattern per GL(k, 2) orbit stands for its orbit.  The column-multiset
-algebra both run on (weights, Gram syndromes, parity kernel) lives in
+over Gram syndromes, the states reachable by appending columns: size s
+meets at radius floor(s/2), with one generator pass between the halves
+when s is odd.  Optimal distances come from exhaustive search over
+column-multiplicity profiles (which determine a code up to column
+permutation).  The self-orthogonal parity patterns that search may use are
+the kernel of the map sending an index set to the XOR of its columns'
+outer products, found by elimination, not read from the dimension-4 split
+tables.  Both refute work without walking it only by theorems they compute
+themselves: sizes below rank(S) of the Gram matrix S fail, since fewer
+rank-one outer products sum to a smaller rank; the Griesmer length rules
+out whole levels, gap sums rule out nodes, and one parity pattern per
+GL(k, 2) orbit stands for its orbit.  The column-multiset algebra both
+run on (weights, Gram syndromes, parity kernel) lives in
 :mod:`soembed.profiles`.
 
 The rest reuses the package.  random_so_profile_search starts some of its
@@ -81,12 +84,15 @@ def min_embedding_oracle(
     Gram syndrome, and appending a column twice changes nothing, so the
     answer is the distance from the syndrome to 0 in the graph whose edges
     are the 2**k - 1 outer products.  Exact-distance layers L0 = {0}, L1, ...
-    are built breadth-first as far as needed; size s = a + b, a = ceil(s/2),
-    b = floor(s/2), is reached when target ^ x lies in Lb for some x in La,
-    which is exact because every smaller size has already failed.  The work
-    is at most the ball of radius ceil(max_add/2) among the
-    2**(k(k+1)/2) syndromes, times the 2**k - 1 generators.  Returns None
-    when no set within max_add columns works.
+    are built breadth-first up to radius b = floor(s/2) for the size s
+    tried.  An even size is reached when target ^ x lies in Lb for some x in
+    Lb; an odd one when target ^ x ^ g does, for some generator g, in one
+    pass that stops at its first hit, so L(b+1) is never built.  The sizes
+    start at rank(S) for the Gram matrix S: a sum of fewer rank-one
+    matrices has smaller rank, so smaller sizes fail unsearched, and the
+    first size that hits is exact.  The work is at most the ball of radius
+    floor(max_add/2) among the 2**(k(k+1)/2) syndromes, times the 2**k - 1
+    generators.  Returns None when no set within max_add columns works.
     """
     if m.k > ORACLE_K_CAP:
         raise CapExceededError(f"oracle supports k <= {ORACLE_K_CAP}")
@@ -99,9 +105,9 @@ def min_embedding_oracle(
         return 0
     gens = _sym_masks(m.k)[1:]
     layers = [{0}]
-    for size in range(1, max_add + 1):
-        a, b = (size + 1) // 2, size // 2
-        while len(layers) <= a:
+    for size in range(rank(gram(m)), max_add + 1):
+        b = size // 2
+        while len(layers) <= b:
             last = layers[-1]
             nxt = set()
             for g in gens:
@@ -112,7 +118,11 @@ def min_embedding_oracle(
             if len(layers) > 1:
                 nxt -= layers[-2]
             layers.append(nxt)
-        if not layers[a].isdisjoint(map(target.__xor__, layers[b])):
+        lb = layers[b]
+        near = map(target.__xor__, lb)
+        if size & 1:
+            near = itertools.starmap(int.__xor__, itertools.product(near, gens))
+        if not lb.isdisjoint(near):
             return size
     return None
 
@@ -158,7 +168,9 @@ def _feasible(
     gains what its class x mod 2**J gains, and a column hits 2**(J - 1)
     of the classes: the node fails when the classes' largest gaps sum past
     step * rem * 2**(J - 1).  (At i >= 2**(k - 1) that is the deficit
-    test, at i = 1 the worst-gap test.)
+    test, at i = 1 the worst-gap test.)  That test runs first, before the
+    scan of the messages: most failing nodes fail it, and a node with no
+    gap has no projected gap, so it never refutes a witness.
 
     Each test is necessary for any completion, and each skipped child would
     have returned None; the loop stays ascending, so the witness is the one
@@ -175,6 +187,15 @@ def _feasible(
     def walk(i: int, rem: int, t: list[int]) -> list[int] | None:
         hit = vecs[i]
         below = coverage[i - 1]
+        if 1 < i < half:
+            size = 1 << i.bit_length()  # the projected gaps of the docstring
+            projected = 0
+            for p in range(1, size):
+                gap = d - min(t[p::size])
+                if gap > 0:
+                    projected += gap
+            if projected > step * rem * (size >> 1):
+                return None
         deficit = floor_gap = hit_worst = miss_worst = 0
         for x in range(1, ncols + 1):
             gap = d - t[x]
@@ -195,15 +216,6 @@ def _feasible(
             return [0] * i
         if max(hit_worst, miss_worst) > step * rem or deficit > step * rem * half:
             return None
-        if 1 < i < half:
-            size = 1 << i.bit_length()  # the projected gaps of the docstring
-            projected = 0
-            for p in range(1, size):
-                gap = d - min(t[p::size])
-                if gap > 0:
-                    projected += gap
-            if projected > step * rem * (size >> 1):
-                return None
         lo = -(-floor_gap // step)
         hi = min(rem + (-miss_worst // step), -(-hit_worst // step))
         if lo:

@@ -17,6 +17,7 @@ from soembed.errors import CapExceededError, DomainError, NoSOCodeError
 from soembed.gf2 import (
     BinaryMatrix,
     _bits,
+    _column_rows,
     _hit_masks,
     gram,
     horizontal_join,
@@ -29,6 +30,7 @@ from soembed.gf2 import (
 from soembed import oracle
 from soembed.distances import d_opt, dso_opt, griesmer_g
 from soembed.oracle import (
+    ORACLE_ADD_CAP,
     PROFILE_SPACE_CAP,
     Claims414,
     EnumerationResult,
@@ -170,6 +172,38 @@ def test_min_embedding_needs_seven_at_k6():
     assert lempel_count(NEEDS_SEVEN) == 7
     assert min_embedding_oracle(NEEDS_SEVEN) == 7
     assert min_embedding_oracle(NEEDS_SEVEN, max_add=6) is None
+
+
+def leader_matrix(k, syn):
+    """The matrix whose columns are the indices of syndrome syn's coset
+    leader, a least set found by the full breadth-first search."""
+    cols = [i for i in range(1, 1 << k) if _coset_leaders(k)[syn] >> i & 1]
+    m = BinaryMatrix(k, len(cols), tuple(_column_rows(k, cols)))
+    assert _gram_mask(m.rows) == syn
+    return m, len(cols)
+
+
+def assert_min_embedding_every_cap(k, syndromes):
+    # caps 0..8 sit on both sides of every odd/even boundary and of rank(S)
+    for syn in syndromes:
+        m, need = leader_matrix(k, syn)
+        for max_add in range(ORACLE_ADD_CAP + 1):
+            expected = need if need <= max_add else None
+            assert min_embedding_oracle(m, max_add) == expected, (syn, max_add)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_embedding_every_syndrome(k):
+    assert_min_embedding_every_cap(k, range(1 << (k * (k + 1) // 2)))
+
+
+def test_min_embedding_k5_syndromes():
+    leaders = _coset_leaders(5)
+    near = [syn for syn, lead in enumerate(leaders) if lead.bit_count() <= 2]
+    assert len(near) == 1 + 31 + 465
+    sample = random.Random(29).sample(range(len(leaders)), 320)
+    assert {leaders[syn].bit_count() for syn in sample} >= {3, 4, 5}
+    assert_min_embedding_every_cap(5, near + sample)
 
 
 def test_min_embedding_not_found():
